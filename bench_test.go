@@ -258,10 +258,9 @@ func BenchmarkWAFCFS(b *testing.B) {
 // benchEngine times one full simulation per iteration under the given
 // engine and reports simulated-ticks/second. The dense/event pair is the
 // speedup measurement behind DESIGN.md's "Simulation engine" section;
-// scripts/bench3 sweeps the full scheduler x workload matrix into
-// BENCH_3.json and scripts/bench5 does the serial-vs-parallel sweep into
-// BENCH_5.json. Allocation counts are reported so -benchmem tracks the
-// request-freelist and ring-buffer hot paths.
+// scripts/bench records the end-to-end and per-layer numbers for the
+// benchmark workloads. Allocation counts are reported so -benchmem
+// tracks the request-freelist and ring-buffer hot paths.
 func benchEngine(b *testing.B, engine string) {
 	b.ReportAllocs()
 	var ticks int64
@@ -284,17 +283,11 @@ func BenchmarkRunDense(b *testing.B) { benchEngine(b, "dense") }
 // the ratio to BenchmarkRunDense is the tick-skipping speedup.
 func BenchmarkRunEventDriven(b *testing.B) { benchEngine(b, "event") }
 
-// BenchmarkRunParallel times the epoch-parallel engine on the same run;
-// the ratio to BenchmarkRunEventDriven is the sharding speedup at the
-// paper's 30-SM machine. Full-occupancy scaling (120 SMs, GOMAXPROCS
-// 1/2/4/8) lives in scripts/bench5.
-func BenchmarkRunParallel(b *testing.B) { benchEngine(b, "parallel") }
-
 // BenchmarkRunSampled times the interval-sampling engine at full scale
 // (scale 0.1 kernels end inside the settle prefix, leaving nothing to
 // sample); the ratio to an equally scaled exact run is the statistical
-// fast-forward speedup. The full speedup-vs-error record lives in
-// scripts/bench10.
+// fast-forward speedup. The speedup-vs-error record lives in the
+// spmv-sampled workload of scripts/bench.
 func BenchmarkRunSampled(b *testing.B) {
 	b.ReportAllocs()
 	var ticks int64

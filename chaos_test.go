@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"dramlat/internal/gpu"
 	"dramlat/internal/guard/chaos"
 )
 
@@ -22,7 +23,7 @@ func chaosSpec(sched string) RunSpec {
 }
 
 // chaosEngines is every engine the fault-injection suite must cover.
-var chaosEngines = []string{"event", "dense", "parallel"}
+var chaosEngines = []string{"event", "dense"}
 
 // A partition that stops answering (the observable shape of a late
 // NextWakeup contract violation) must trip the liveness watchdog on
@@ -228,5 +229,47 @@ func TestRunSpecValidate(t *testing.T) {
 	// Run surfaces the same error without starting a simulation.
 	if _, rerr := Run(bad); !errors.As(rerr, &ve) {
 		t.Fatalf("Run did not return the validation error: %v", rerr)
+	}
+
+	unknown := good
+	unknown.Engine = "quantum"
+	if err := unknown.Validate(); !errors.As(err, &ve) || ve.Fields[0].Field != "Engine" {
+		t.Fatalf("unknown engine not reported as an Engine field error: %v", err)
+	}
+}
+
+// TestEngineValidation: the engine knob validates without running. Every
+// listed engine and the empty default are accepted; any other name,
+// including the retired "parallel", is an Engine field error. The command
+// log is a Config-level knob that only the exact engines can honor.
+func TestEngineValidation(t *testing.T) {
+	spec := RunSpec{Benchmark: "bfs", Scheduler: "wg-w", Scale: 0.05, SMs: 2, WarpsPerSM: 4}
+	for _, engine := range append([]string{""}, gpu.Engines()...) {
+		ok := spec
+		ok.Engine = engine
+		if err := ok.Validate(); err != nil {
+			t.Fatalf("engine %q rejected: %v", engine, err)
+		}
+	}
+	var ve *ValidationError
+	for _, engine := range []string{"quantum", "parallel"} {
+		bad := spec
+		bad.Engine = engine
+		if err := bad.Validate(); !errors.As(err, &ve) || ve.Fields[0].Field != "Engine" {
+			t.Fatalf("engine %q not reported as an Engine field error: %v", engine, err)
+		}
+	}
+
+	cfg := gpu.DefaultConfig()
+	cfg.CmdLog = &strings.Builder{}
+	for _, engine := range []string{gpu.EngineEvent, gpu.EngineDense} {
+		cfg.Engine = engine
+		if err := cfg.Validate(); err != nil {
+			t.Fatalf("%s+CmdLog rejected: %v", engine, err)
+		}
+	}
+	cfg.Engine = gpu.EngineSampled
+	if err := cfg.Validate(); !errors.As(err, &ve) {
+		t.Fatalf("sampled+CmdLog accepted: %v", err)
 	}
 }

@@ -137,7 +137,6 @@ type runner struct {
 	seeds      int // >1: average kernel times over this many seeds
 	ablation   string
 	engine     string
-	shards     int
 	s          *session
 }
 
@@ -148,7 +147,7 @@ func (r *runner) spec(bench, sched string, perfect, zerodiv bool, alpha float64)
 		Benchmark: bench, Scheduler: sched, Scale: r.scale,
 		SMs: r.sms, WarpsPerSM: r.warps, Seed: r.seed,
 		PerfectCoalescing: perfect, ZeroDivergence: zerodiv, SBWASAlpha: alpha,
-		Ablation: r.ablation, Engine: r.engine, Shards: r.shards,
+		Ablation: r.ablation, Engine: r.engine,
 	}
 }
 
@@ -216,8 +215,7 @@ func main() {
 	workers := flag.Int("workers", 0, "parallel simulations (0 = GOMAXPROCS)")
 	server := flag.String("server", "", "run the simulations on a dlserve instance at this URL instead of locally")
 	priority := flag.Int("priority", 0, "with -server: job priority (higher runs first)")
-	engine := flag.String("engine", "", "simulation engine: event (default), dense, parallel (all exact, sharing cache entries) or sampled (approximate paper numbers — error bars are not printed, prefer exact engines here)")
-	shards := flag.Int("shards", 0, "parallel-engine worker count (0 = min(GOMAXPROCS, cores, SMs))")
+	engine := flag.String("engine", "", "simulation engine: event (default), dense (both exact, sharing cache entries) or sampled (approximate paper numbers — error bars are not printed, prefer exact engines here)")
 	cacheDir := flag.String("cache", defaultCacheDir(), "persistent result cache dir (\"none\" disables)")
 	jsonOut := flag.String("json", "", "also write every run as sweep JSON to this file (\"-\" = stdout)")
 	pf := prof.Register()
@@ -260,7 +258,7 @@ func main() {
 	defer cancel()
 	s := newSession(ctx, ex)
 	r := &runner{scale: *scale, sms: *sms, warps: *warps, seed: *seed, seeds: *seeds,
-		engine: *engine, shards: *shards, s: s}
+		engine: *engine, s: s}
 
 	exps := map[string]func(*runner){
 		"table1": table1, "table2": table2, "table3": table3,
@@ -819,7 +817,7 @@ func ablation(r *runner) {
 	benches := []string{"bfs", "kmeans", "spmv", "sssp"}
 	for _, ab := range []string{"count-score", "no-orphan", "no-credits"} {
 		sub := &runner{scale: r.scale, sms: r.sms, warps: r.warps, seed: r.seed,
-			ablation: ab, engine: r.engine, shards: r.shards, s: r.s}
+			ablation: ab, engine: r.engine, s: r.s}
 		var slow []float64
 		fmt.Printf("%-14s", ab)
 		for _, b := range benches {

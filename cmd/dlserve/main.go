@@ -63,8 +63,7 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	cacheDir := flag.String("cache", defaultCacheDir(), "persistent result cache dir")
 	workers := flag.Int("workers", 0, "parallel simulations (0 = GOMAXPROCS)")
-	engine := flag.String("engine", "", "simulation engine: event (default), dense or parallel — all exact and engine-independent, so cache entries are shared (sampled is rejected: submit sampled specs instead)")
-	shards := flag.Int("shards", 0, "parallel-engine worker count (0 = min(GOMAXPROCS, cores, SMs))")
+	engine := flag.String("engine", "", "simulation engine: event (default) or dense — both exact, so cache entries are shared (sampled is rejected: submit sampled specs instead)")
 	runTimeout := flag.Duration("timeout", 0, "per-run wall-clock budget (0 = none)")
 	drainTimeout := flag.Duration("drain-timeout", 2*time.Minute, "max wait for in-flight specs on shutdown before aborting them")
 	traceEvents := flag.Bool("trace-events", false, "capture per-spec telemetry for every executed spec, not just jobs that request it")
@@ -107,15 +106,14 @@ func main() {
 		// block), never as a server-wide override.
 		fail(fmt.Errorf("-engine sampled is not a valid server-wide engine: sampled results are approximate and would be cached under exact spec hashes; submit specs with a Sampled block instead"))
 	}
-	if *engine != "" || *shards != 0 {
-		// Engine selection is a server-side execution detail: Engine and
-		// Shards are hash-excluded (results are engine-independent), so
-		// they never arrive over the wire. Mutate rewrites them just
-		// before execution while keeping the engine's own runner — and
-		// with it telemetry capture — intact.
+	if *engine != "" {
+		// Engine selection is a server-side execution detail: Engine is
+		// hash-excluded (the exact engines' results are identical), so it
+		// never arrives over the wire. Mutate rewrites it just before
+		// execution while keeping the engine's own runner — and with it
+		// telemetry capture — intact.
 		eng.Mutate = func(sp *dramlat.RunSpec) {
 			sp.Engine = *engine
-			sp.Shards = *shards
 		}
 	}
 

@@ -150,8 +150,7 @@ func main() {
 	workers := flag.Int("workers", 0, "parallel simulations (0 = GOMAXPROCS)")
 	server := flag.String("server", "", "run the sweep on a dlserve instance at this URL instead of locally")
 	priority := flag.Int("priority", 0, "with -server: job priority (higher runs first)")
-	engine := flag.String("engine", "", "simulation engine: event (default), dense, parallel (all exact, sharing cache entries) or sampled (approximate, with error bars, cached separately)")
-	shards := flag.Int("shards", 0, "parallel-engine worker count (0 = min(GOMAXPROCS, cores, SMs))")
+	engine := flag.String("engine", "", "simulation engine: event (default), dense (both exact, sharing cache entries) or sampled (approximate, with error bars, cached separately)")
 	sampleWindow := flag.Int64("sample-window", 0, "sampled engine: detailed measurement window cycles (0 = default)")
 	sampleFF := flag.Int64("sample-ff", 0, "sampled engine: fast-forward cycles per region (0 = default)")
 	sampleWarmup := flag.Int64("sample-warmup", 0, "sampled engine: detailed warm-up cycles after each jump (0 = default)")
@@ -298,7 +297,6 @@ func main() {
 		}
 		for i := range specs {
 			specs[i].Engine = *engine
-			specs[i].Shards = *shards
 		}
 		nw := *workers
 		if nw <= 0 {

@@ -51,8 +51,7 @@ func main() {
 	name := flag.String("name", "", "worker name reported to the server (default host-pid)")
 	workers := flag.Int("workers", 0, "parallel simulations (0 = GOMAXPROCS)")
 	cacheDir := flag.String("cache", defaultCacheDir(), "local result cache dir (private to this worker unless shared storage)")
-	engine := flag.String("engine", "", "simulation engine: event (default), dense or parallel (sampled is rejected: the server's spec hashes must keep exact results)")
-	shards := flag.Int("shards", 0, "parallel-engine worker count (0 = auto)")
+	engine := flag.String("engine", "", "simulation engine: event (default) or dense (sampled is rejected: the server's spec hashes must keep exact results)")
 	runTimeout := flag.Duration("timeout", 0, "per-run wall-clock budget (0 = none)")
 	poll := flag.Duration("poll", 15*time.Second, "claim long-poll window")
 	verbose := flag.Bool("v", false, "log every claim and outcome, not just lifecycle")
@@ -75,10 +74,9 @@ func main() {
 		// exact hashes, poisoning both the local and the server cache.
 		fail(fmt.Errorf("-engine sampled is not a valid worker-wide engine: sampled runs are requested per spec via the Sampled block"))
 	}
-	if *engine != "" || *shards != 0 {
+	if *engine != "" {
 		eng.Mutate = func(sp *dramlat.RunSpec) {
 			sp.Engine = *engine
-			sp.Shards = *shards
 		}
 	}
 

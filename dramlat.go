@@ -75,26 +75,16 @@ type RunSpec struct {
 	// traced and untraced runs share a result-cache entry.
 	Telemetry telemetry.Options `json:"-"`
 
-	// DenseLoop forces the reference tick-every-cycle engine (see
-	// gpu.Config.DenseLoop). Excluded from Canonical and Hash: both
-	// engines produce byte-identical Results, so dense and event-driven
-	// runs share a result-cache entry.
-	DenseLoop bool `json:"-"`
-
-	// Engine selects the simulation engine explicitly: "" / "event"
-	// (default), "dense", or "parallel" (the epoch-parallel engine, which
-	// shards SMs and memory partitions across cores). Every engine
-	// produces byte-identical Results, so the field is hash-excluded like
-	// DenseLoop and all engines share a result-cache entry.
+	// Engine selects the simulation engine: "" / "event" (default),
+	// "dense" (the tick-every-cycle reference loop) or "sampled". The
+	// two exact engines produce byte-identical Results, so the field is
+	// excluded from Canonical and Hash and both share a result-cache
+	// entry; the sampled engine is told apart by its Sampled block.
 	Engine string `json:"-"`
-
-	// Shards bounds the parallel engine's worker count; 0 picks
-	// min(GOMAXPROCS, SMs). Results never depend on it; hash-excluded.
-	Shards int `json:"-"`
 
 	// Sampled configures the interval-sampling engine (Engine
 	// "sampled"): a non-zero block selects sampled execution even when
-	// Engine is empty. Unlike Engine/Shards these knobs are
+	// Engine is empty. Unlike Engine these knobs are
 	// hash-INCLUDED: the sampled engine's Results are approximate and
 	// depend on the window parameters, so a sampled run must never
 	// share a result-cache entry with an exact run (or with a sampled
@@ -220,9 +210,7 @@ func (s RunSpec) Canonical() RunSpec {
 	// not affect the simulation a completed run performs: canonical specs
 	// zero them all so such runs compare (and cache) equal.
 	s.Telemetry = telemetry.Options{}
-	s.DenseLoop = false
 	s.Engine = ""
-	s.Shards = 0
 	s.MaxCycles = 0
 	s.StallCycles = 0
 	s.Deadline = time.Time{}
@@ -370,9 +358,7 @@ func Config(spec RunSpec) gpu.Config {
 		cfg.CmdQueueCap = spec.CmdQueueCap
 	}
 	cfg.Telemetry = spec.Telemetry
-	cfg.DenseLoop = spec.DenseLoop
 	cfg.Engine = spec.Engine
-	cfg.Shards = spec.Shards
 	if spec.Sampled.Enabled() && cfg.Engine == "" {
 		cfg.Engine = gpu.EngineSampled
 	}

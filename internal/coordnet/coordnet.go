@@ -6,11 +6,7 @@
 // checks its ports every cycle.
 package coordnet
 
-import (
-	"sync/atomic"
-
-	"dramlat/internal/memreq"
-)
+import "dramlat/internal/memreq"
 
 // Msg is one coordination message.
 type Msg struct {
@@ -22,15 +18,6 @@ type Msg struct {
 type timedMsg struct {
 	msg Msg
 	due int64
-}
-
-// stagedMsg is one broadcast leg buffered during a parallel partition
-// phase: dst plus the already-computed delivery time. Link serialization
-// (linkFree) is per-source state, so the send time is exact at staging
-// time; only the append to the destination queue waits for the barrier.
-type stagedMsg struct {
-	dst int
-	tm  timedMsg
 }
 
 // Network is the all-to-all coordination fabric.
@@ -46,16 +33,6 @@ type Network struct {
 	nextDue  []int64      // per destination, exact min due over queues[dst]
 	linkFree [][]int64    // per (src,dst) link availability
 	outBuf   [][]Msg      // per destination, reused across Deliver calls
-
-	// staging, when non-nil, buffers Broadcast legs per source instead of
-	// appending to the destination queues directly (EnableStaging). The
-	// parallel engine's partition domains each own their source's buffer,
-	// and Flush applies all buffers in ascending source order at the phase
-	// barrier — the same order a serial partition loop would have appended
-	// in, so queue contents are byte-identical. Same-tick delivery is
-	// impossible (due >= now + SerializeTicks + Delay > now), so deferring
-	// the append to the barrier is invisible to Deliver.
-	staging [][]stagedMsg
 
 	Sent      int64
 	Delivered int64
@@ -79,27 +56,6 @@ func New(n int, delay int64) *Network {
 	return net
 }
 
-// EnableStaging switches Broadcast into per-source staged mode for the
-// parallel engine (see the staging field). Call before the run starts.
-func (n *Network) EnableStaging() {
-	n.staging = make([][]stagedMsg, n.nodes)
-}
-
-// Flush applies every staged broadcast leg to the destination queues in
-// ascending source order and updates the per-destination due minima. The
-// parallel engine's coordinator calls it at each partition-phase barrier.
-func (n *Network) Flush() {
-	for src := range n.staging {
-		for _, s := range n.staging[src] {
-			n.queues[s.dst] = append(n.queues[s.dst], s.tm)
-			if s.tm.due < n.nextDue[s.dst] {
-				n.nextDue[s.dst] = s.tm.due
-			}
-		}
-		n.staging[src] = n.staging[src][:0]
-	}
-}
-
 // Broadcast sends (group, score) from controller `from` to every other
 // controller, respecting per-link serialization.
 func (n *Network) Broadcast(from int, g memreq.GroupID, score int, now int64) {
@@ -113,15 +69,11 @@ func (n *Network) Broadcast(from int, g memreq.GroupID, score int, now int64) {
 		}
 		n.linkFree[from][dst] = start + n.SerializeTicks
 		due := start + n.SerializeTicks + n.Delay
-		if n.staging != nil {
-			n.staging[from] = append(n.staging[from], stagedMsg{dst, timedMsg{Msg{from, g, score}, due}})
-		} else {
-			n.queues[dst] = append(n.queues[dst], timedMsg{Msg{from, g, score}, due})
-			if due < n.nextDue[dst] {
-				n.nextDue[dst] = due
-			}
+		n.queues[dst] = append(n.queues[dst], timedMsg{Msg{from, g, score}, due})
+		if due < n.nextDue[dst] {
+			n.nextDue[dst] = due
 		}
-		atomic.AddInt64(&n.Sent, 1)
+		n.Sent++
 	}
 }
 
@@ -141,7 +93,7 @@ func (n *Network) Deliver(dst int, now int64) []Msg {
 	for _, tm := range q {
 		if tm.due <= now {
 			out = append(out, tm.msg)
-			atomic.AddInt64(&n.Delivered, 1)
+			n.Delivered++
 		} else {
 			keep = append(keep, tm)
 			if tm.due < next {

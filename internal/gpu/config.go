@@ -103,26 +103,16 @@ type Config struct {
 	// byte-identical to a build without the hooks.
 	Faults *chaos.Faults
 
-	// DenseLoop selects the reference tick-every-cycle engine instead of
-	// the event-driven next-wakeup engine. Results are byte-identical
-	// either way (TestEventDrivenMatchesDense); the dense loop exists as
-	// an escape hatch and as the differential-testing oracle.
-	DenseLoop bool
-
-	// Engine selects the simulation engine explicitly: "" or
-	// EngineEvent (event-driven next-wakeup, the default), EngineDense
-	// (the dense reference loop, same as DenseLoop), or EngineParallel
-	// (the epoch-parallel engine: SMs and memory partitions sharded
-	// across worker goroutines, byte-identical Results to the serial
-	// engines — see DESIGN.md "Parallel engine").
+	// Engine selects the simulation engine: "" or EngineEvent
+	// (event-driven next-wakeup, the default), EngineDense (the
+	// tick-every-cycle reference loop) or EngineSampled. The two exact
+	// engines produce byte-identical Results (TestEventDrivenMatchesDense);
+	// the dense loop exists as an escape hatch and as the
+	// differential-testing oracle.
 	Engine string
 
-	// Shards bounds the parallel engine's worker count; 0 picks
-	// min(GOMAXPROCS, components). Results never depend on it.
-	Shards int
-
 	// Sampled configures EngineSampled's interval sampling. Unlike
-	// Engine/Shards these parameters DO change Results (they select
+	// Engine these parameters DO change Results (they select
 	// which regions run detailed vs modeled), so the façade includes
 	// them in the content hash.
 	Sampled SampledConfig
@@ -142,12 +132,10 @@ const (
 	// EngineEvent is the default event-driven next-wakeup engine.
 	EngineEvent = "event"
 	// EngineDense is the tick-every-cycle reference loop (the
-	// differential-testing oracle; equivalent to DenseLoop).
+	// differential-testing oracle). It also runs DRAM channels without
+	// their wake cache, so the oracle shares no skipping logic with the
+	// event engine.
 	EngineDense = "dense"
-	// EngineParallel shards SMs and memory partitions across worker
-	// goroutines within each visited tick, byte-identical to the serial
-	// engines.
-	EngineParallel = "parallel"
 	// EngineSampled is the interval-sampling engine: short full-fidelity
 	// measurement windows on the event-driven core alternate with
 	// fast-forward regions advanced by statistical models calibrated
@@ -159,7 +147,7 @@ const (
 
 // Engines lists the selectable engine names.
 func Engines() []string {
-	return []string{EngineEvent, EngineDense, EngineParallel, EngineSampled}
+	return []string{EngineEvent, EngineDense, EngineSampled}
 }
 
 // SampledConfig parameterizes the interval-sampling engine. All cycle
@@ -387,23 +375,11 @@ func (c Config) Validate() error {
 	}
 	switch c.Engine {
 	case "", EngineEvent, EngineDense:
-	case EngineParallel:
-		if c.CmdLog != nil {
-			// Partitions write the command log as they tick; running them
-			// concurrently would interleave lines nondeterministically.
-			v.Addf("CmdLog", "non-nil", "command logging requires a serial engine (use event or dense)")
-		}
-		if c.DenseLoop {
-			v.Addf("DenseLoop", c.DenseLoop, "conflicts with Engine=parallel")
-		}
 	case EngineSampled:
 		if c.CmdLog != nil {
 			// A sampled command log would have holes spanning every
 			// modeled region; reject instead of emitting a partial log.
 			v.Addf("CmdLog", "non-nil", "command logging requires an exact engine (fast-forward regions issue no commands)")
-		}
-		if c.DenseLoop {
-			v.Addf("DenseLoop", c.DenseLoop, "conflicts with Engine=sampled")
 		}
 		if c.Sampled.WindowCycles < 0 {
 			v.Addf("Sampled.WindowCycles", c.Sampled.WindowCycles, "must be non-negative (0 = default)")
@@ -415,10 +391,7 @@ func (c Config) Validate() error {
 			v.Addf("Sampled.WarmupCycles", c.Sampled.WarmupCycles, "must be non-negative (0 = default)")
 		}
 	default:
-		v.Addf("Engine", c.Engine, "unknown engine (want event, dense, parallel or sampled)")
-	}
-	if c.Shards < 0 {
-		v.Addf("Shards", c.Shards, "must be non-negative")
+		v.Addf("Engine", c.Engine, "unknown engine (want event, dense or sampled)")
 	}
 	return v.Err()
 }

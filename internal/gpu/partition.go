@@ -41,8 +41,7 @@ type partition struct {
 	evictHead int
 
 	// pool recycles this partition's request traffic: absorbed writes and
-	// credits feed the next dirty-eviction write-back. Domain-local, so
-	// the parallel engine needs no synchronization around it.
+	// credits feed the next dirty-eviction write-back.
 	pool memreq.Pool
 
 	// didWork records whether the last Tick made observable progress: an

@@ -108,19 +108,6 @@ type System struct {
 	// differently, and Results must stay byte-identical between them.
 	Engine EngineStats
 
-	// Parallel-engine staging (Cfg.Engine == EngineParallel): each SM and
-	// each partition records its collector calls and trace events into a
-	// staged child, and the coordinator absorbs the children in component
-	// order at each phase barrier, reproducing the serial call sequence.
-	smCols      []*stats.Collector
-	partCols    []*stats.Collector
-	smTracers   []*telemetry.Tracer
-	partTracers []*telemetry.Tracer
-
-	// shards describes the parallel engine's SM sharding for stall dumps;
-	// nil outside parallel runs.
-	shards []guard.ShardState
-
 	now int64
 }
 
@@ -128,7 +115,7 @@ type System struct {
 // VisitedTicks is the number of distinct ticks the main loop executed
 // (equal to Ticks+1 for the dense engine); SMTicks and PartTicks count
 // component-tick executions. The dense/event ratio of these is the
-// tick-skipping win reported in BENCH_3.json.
+// tick-skipping win; scripts/bench reports them per workload.
 type EngineStats struct {
 	VisitedTicks int64
 	SMTicks      int64
@@ -165,34 +152,20 @@ func NewSystem(cfg Config, w Workload) (*System, error) {
 	case "atlas":
 		s.atlas = memctrl.NewATLASState(cfg.ATLASQuantum)
 	}
-	par := cfg.Engine == EngineParallel
-	if par {
-		s.x.Par = true
-		if s.net != nil {
-			s.net.EnableStaging()
-		}
-	}
-
 	for ch := 0; ch < cfg.NumChannels; ch++ {
 		channel := dram.NewChannel(cfg.Timing, cfg.NumBanks, cfg.BankGroups, cfg.CmdQueueCap)
 		// The dense reference engine keeps the uncached Tick as the
 		// differential-testing oracle.
-		channel.WakeCache = !cfg.DenseLoop
+		channel.WakeCache = cfg.Engine != EngineDense
 		if cfg.EnableRefresh {
 			channel.SetRefresh(cfg.RefreshTicks, cfg.TRFCTicks)
-		}
-		pCol, pTracer := s.Col, tracer
-		if par {
-			pCol, pTracer = s.Col.Stage(), tracer.Stage()
-			s.partCols = append(s.partCols, pCol)
-			s.partTracers = append(s.partTracers, pTracer)
 		}
 		sched, ws := s.buildScheduler(ch)
 		ctl := memctrl.New(channel, sched, cfg.ReadQ, cfg.WriteQ, cfg.HighWM, cfg.LowWM)
 		ctl.WriteAgeDrain = cfg.WriteAgeDrain
-		ctl.Probe, ctl.ChannelID = pTracer, ch
+		ctl.Probe, ctl.ChannelID = tracer, ch
 		if ws != nil {
-			ws.Probe = pTracer
+			ws.Probe = tracer
 		}
 		if cfg.Scheduler == "sbwas" {
 			ctl.Writes = memctrl.Interleaved
@@ -203,13 +176,13 @@ func NewSystem(cfg Config, w Workload) (*System, error) {
 				SizeBytes: cfg.L2SliceSize, LineBytes: cfg.LineBytes,
 				Ways: cfg.L2Ways, MSHRs: cfg.L2MSHRs,
 			}),
-			ctl: ctl, ws: ws, x: s.x, col: pCol,
+			ctl: ctl, ws: ws, x: s.x, col: s.Col,
 			pipeCap: cfg.L2PipeDepth,
 			mapper:  s.Mapper, mshrCap: cfg.L2MSHRs, l2Lat: cfg.L2Lat,
 			nextID:    creatorID(uint64(cfg.NumSMs + ch)),
 			noCredits: cfg.Ablation == "no-credits",
 			cmdLog:    cfg.CmdLog,
-			probe:     pTracer,
+			probe:     tracer,
 			tsamp:     sampler,
 		}
 		ctl.OnReadDone = p.onReadDone
@@ -218,12 +191,6 @@ func NewSystem(cfg Config, w Workload) (*System, error) {
 	}
 
 	for id := 0; id < cfg.NumSMs; id++ {
-		sCol, sTracer := s.Col, tracer
-		if par {
-			sCol, sTracer = s.Col.Stage(), tracer.Stage()
-			s.smCols = append(s.smCols, sCol)
-			s.smTracers = append(s.smTracers, sTracer)
-		}
 		smCfg := sm.Config{
 			ID:     id,
 			Mapper: s.Mapper,
@@ -237,8 +204,8 @@ func NewSystem(cfg Config, w Workload) (*System, error) {
 			ZeroDivergence:    cfg.ZeroDivergence,
 			PerfectCoalescing: cfg.PerfectCoalescing,
 			NextID:            creatorID(uint64(id)),
-			Collector:         sCol,
-			Probe:             sTracer,
+			Collector:         s.Col,
+			Probe:             tracer,
 			ClassifyStalls:    sampler != nil,
 		}
 		smID := id
@@ -250,12 +217,10 @@ func NewSystem(cfg Config, w Workload) (*System, error) {
 	return s, nil
 }
 
-// creatorID returns an ID allocator for one creator domain: SM i uses
-// stream i, partition ch uses stream NumSMs+ch. IDs are
-// (stream+1)<<40 | serial, so streams never collide, every ID is
-// engine-independent (serial and parallel allocate identically), and
-// allocation is domain-local — no shared counter for parallel phases to
-// contend on.
+// creatorID returns an ID allocator for one creator: SM i uses stream i,
+// partition ch uses stream NumSMs+ch. IDs are (stream+1)<<40 | serial,
+// so streams never collide and each ID depends only on its creator's own
+// allocation order, never on how an engine interleaves components.
 func creatorID(creator uint64) func() uint64 {
 	var serial uint64
 	return func() uint64 {
@@ -318,16 +283,14 @@ func (s *System) buildScheduler(ch int) (memctrl.Scheduler, *core.WarpScheduler)
 // The default engine is event-driven: it visits a component only at
 // ticks where its state can change and jumps time to the next wakeup
 // when nothing is runnable, producing results byte-identical to the
-// dense reference loop (Cfg.DenseLoop; see DESIGN.md "Simulation
-// engine" and TestEventDrivenMatchesDense). Cfg.Engine selects the
-// dense reference loop or the epoch-parallel engine explicitly.
+// dense reference loop (EngineDense; see DESIGN.md "Simulation engine"
+// and TestEventDrivenMatchesDense). Cfg.Engine selects the dense
+// reference loop or the sampled engine explicitly.
 func (s *System) Run() (Results, error) {
-	switch {
-	case s.Cfg.Engine == EngineParallel:
-		return s.runParallel()
-	case s.Cfg.Engine == EngineSampled:
+	switch s.Cfg.Engine {
+	case EngineSampled:
 		return s.runSampled()
-	case s.Cfg.DenseLoop || s.Cfg.Engine == EngineDense:
+	case EngineDense:
 		return s.runDense()
 	default:
 		return s.runEvent()

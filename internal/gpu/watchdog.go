@@ -125,23 +125,8 @@ func (s *System) stallError(kind string, now, budget int64) *guard.StallError {
 func (s *System) stallDump(now int64) guard.StallDump {
 	d := guard.StallDump{
 		Cycle:        now,
-		Shards:       append([]guard.ShardState(nil), s.shards...),
 		XbarReqWake:  s.x.MinReqWake(),
 		XbarRespWake: s.x.MinRespWake(),
-	}
-	for i := range d.Shards {
-		sh := &d.Shards[i]
-		if sh.Kind != "sm" {
-			continue
-		}
-		sh.LiveWarps = 0
-		for id := sh.First; id <= sh.Last && id < len(s.sms); id++ {
-			for _, w := range s.sms[id].Warps() {
-				if !w.Done() {
-					sh.LiveWarps++
-				}
-			}
-		}
 	}
 	for i, c := range s.sms {
 		st := guard.SMState{ID: i, ReplayQueue: c.ReplayLen(), NextWakeup: c.NextWakeup(now)}

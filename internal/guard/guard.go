@@ -199,10 +199,6 @@ type StallDump struct {
 	SMs      []SMState
 	Channels []ChannelState
 
-	// Shards is populated by the parallel engine only: one row per
-	// worker shard, so a stall report shows which shard went quiet.
-	Shards []ShardState
-
 	// Crossbar wakeup minima: the earliest tick any partition-bound
 	// request / SM-bound response becomes deliverable (guard.Never when
 	// none is queued).
@@ -235,18 +231,6 @@ type ChannelState struct {
 	CoordPending int // undelivered coordination messages (wg-m and up)
 	NextWakeup   int64
 	Banks        []BankState
-}
-
-// ShardState is one parallel-engine worker shard's progress row: which
-// contiguous component range it owns and how far it got.
-type ShardState struct {
-	ID        int
-	Kind      string // "sm" or "part"
-	First     int    // first component index owned (inclusive)
-	Last      int    // last component index owned (inclusive)
-	LastTick  int64  // last visited tick this shard completed
-	Ticked    int64  // components ticked by this shard in total
-	LiveWarps int    // live warps in the shard's range (sm shards only)
 }
 
 // BankState is one DRAM bank's command-queue snapshot.
@@ -295,13 +279,6 @@ func (d StallDump) String() string {
 			continue
 		}
 		fmt.Fprintf(&b, "  sm%-3d %4d %7d %6d %s\n", s.ID, s.LiveWarps, s.Blocked, s.ReplayQueue, fmtWake(s.NextWakeup))
-	}
-	if len(d.Shards) > 0 {
-		b.WriteString("  shard kind  range     lasttick ticked   live\n")
-		for _, s := range d.Shards {
-			fmt.Fprintf(&b, "  %-5d %-5s %3d..%-4d %8d %8d %5d\n",
-				s.ID, s.Kind, s.First, s.Last, s.LastTick, s.Ticked, s.LiveWarps)
-		}
 	}
 	b.WriteString("  chan  readq writeq sched pipe evict coord drain wakeup\n")
 	for _, c := range d.Channels {

@@ -142,8 +142,7 @@ type SM struct {
 
 	// pool recycles this SM's request allocations: responses it has fully
 	// absorbed (Deliver) and replay-queue requests filtered by the L1
-	// (dropOrCredit) feed the coalescer's next fan-out. Domain-local, so
-	// the parallel engine needs no synchronization around it.
+	// (dropOrCredit) feed the coalescer's next fan-out.
 	pool memreq.Pool
 	// scratch, missBuf, lineBuf and chanIdx are issueLoad's reusable
 	// per-call buffers (chanIdx is indexed by channel and tracks the last

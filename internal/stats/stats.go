@@ -41,27 +41,11 @@ type GroupRec struct {
 	Completed bool
 }
 
-// colOp is one buffered collector call in a staged child collector.
-type colOp struct {
-	kind uint8 // 0 load-issue, 1 store-issue, 2 mc-arrive, 3 dram-done, 4 resp
-	id   memreq.GroupID
-	t    int64
-	a, b int
-}
-
 // Collector aggregates GroupRecs for one simulation run. It is not safe
-// for concurrent use. The parallel engine gives each SM and each
-// partition a staged child (Stage) that buffers calls instead of
-// mutating shared state; the coordinator replays the buffers into the
-// parent in a fixed component order at each phase barrier (Absorb), so
-// the parent sees exactly the call sequence the serial engines produce.
+// for concurrent use.
 type Collector struct {
 	groups map[memreq.GroupID]*GroupRec
 	done   []*GroupRec
-
-	// parent is non-nil on a staged child; stage buffers its calls.
-	parent *Collector
-	stage  []colOp
 
 	// TotalLoads counts every warp-load issued, including fully
 	// L1-resident ones.
@@ -81,50 +65,9 @@ func NewCollector() *Collector {
 	return &Collector{groups: make(map[memreq.GroupID]*GroupRec)}
 }
 
-// Stage returns a staged child collector that buffers calls for later
-// deterministic replay into c (see Absorb). A nil receiver returns nil,
-// so disabled-collector wiring stays a nil check per site.
-func (c *Collector) Stage() *Collector {
-	if c == nil {
-		return nil
-	}
-	return &Collector{parent: c}
-}
-
-// Absorb replays a staged child's buffered calls into c in their
-// recording order and resets the child. Children are absorbed by the
-// parallel engine's coordinator in ascending component order at each
-// phase barrier, reproducing the serial engines' exact call sequence
-// (which fixes the done-slice order, the First/Last timestamps and the
-// float summation order of Summarize). Nil child or receiver is a no-op.
-func (c *Collector) Absorb(child *Collector) {
-	if c == nil || child == nil {
-		return
-	}
-	for _, op := range child.stage {
-		switch op.kind {
-		case 0:
-			c.OnLoadIssue(op.id, op.t, op.a, op.b)
-		case 1:
-			c.OnStoreIssue(op.a)
-		case 2:
-			c.OnMCArrive(op.id, op.a)
-		case 3:
-			c.OnDRAMDone(op.id, op.t)
-		case 4:
-			c.OnResp(op.id, op.t)
-		}
-	}
-	child.stage = child.stage[:0]
-}
-
 // OnLoadIssue records a warp-load leaving the coalescer. sent is the
 // number of requests entering the memory system (L1 misses).
 func (c *Collector) OnLoadIssue(id memreq.GroupID, now int64, lines, sent int) {
-	if c.parent != nil {
-		c.stage = append(c.stage, colOp{kind: 0, id: id, t: now, a: lines, b: sent})
-		return
-	}
 	c.TotalLoads++
 	c.TotalLines += int64(lines)
 	if lines > 1 {
@@ -141,10 +84,6 @@ func (c *Collector) OnLoadIssue(id memreq.GroupID, now int64, lines, sent int) {
 
 // OnStoreIssue records a store leaving the coalescer.
 func (c *Collector) OnStoreIssue(lines int) {
-	if c.parent != nil {
-		c.stage = append(c.stage, colOp{kind: 1, a: lines})
-		return
-	}
 	c.Stores++
 	c.StoreLines += int64(lines)
 }
@@ -152,10 +91,6 @@ func (c *Collector) OnStoreIssue(lines int) {
 // OnMCArrive records a request of the group entering controller ch's read
 // queue.
 func (c *Collector) OnMCArrive(id memreq.GroupID, ch int) {
-	if c.parent != nil {
-		c.stage = append(c.stage, colOp{kind: 2, id: id, a: ch})
-		return
-	}
 	if g, ok := c.groups[id]; ok {
 		g.MCArrived++
 		g.Channels.Add(ch)
@@ -164,10 +99,6 @@ func (c *Collector) OnMCArrive(id memreq.GroupID, ch int) {
 
 // OnDRAMDone records DRAM finishing one of the group's requests.
 func (c *Collector) OnDRAMDone(id memreq.GroupID, now int64) {
-	if c.parent != nil {
-		c.stage = append(c.stage, colOp{kind: 3, id: id, t: now})
-		return
-	}
 	g, ok := c.groups[id]
 	if !ok {
 		return
@@ -184,10 +115,6 @@ func (c *Collector) OnDRAMDone(id memreq.GroupID, now int64) {
 // OnResp records one response reaching the SM; when the expected count is
 // reached the group is finalized.
 func (c *Collector) OnResp(id memreq.GroupID, now int64) {
-	if c.parent != nil {
-		c.stage = append(c.stage, colOp{kind: 4, id: id, t: now})
-		return
-	}
 	g, ok := c.groups[id]
 	if !ok {
 		return

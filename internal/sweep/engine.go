@@ -59,7 +59,7 @@ type Engine struct {
 	// Mutate, when non-nil, rewrites each spec immediately before
 	// execution (after the cache lookup), for server-side execution
 	// details like engine selection. It must only touch hash-excluded
-	// fields (Engine, Shards, ...): the cache entry is keyed and stored
+	// fields (Engine, MaxCycles, ...): the cache entry is keyed and stored
 	// from the unmutated spec.
 	Mutate func(*dramlat.RunSpec)
 	// RunTimeout, when positive, gives every executed spec a wall-clock

@@ -121,24 +121,14 @@ func (e Event) GroupID() memreq.GroupID {
 }
 
 // Tracer records events into a bounded ring buffer. It is not safe for
-// concurrent use; the serial engines emit from one goroutine. A nil
+// concurrent use; every engine emits from one goroutine. A nil
 // *Tracer is the disabled probe: instrumentation sites guard each emit
 // with a nil check, so disabled tracing costs one branch per site.
-//
-// The parallel engine gives each SM and each partition a staged child
-// (Stage) whose emits buffer into an unbounded per-component slice; the
-// coordinator replays the buffers into the parent ring in a fixed
-// component order at each phase barrier (Absorb), reproducing the serial
-// recording order — including which events the bounded ring drops.
 type Tracer struct {
 	buf     []Event
 	next    int  // overwrite cursor once full
 	full    bool // buf wrapped at least once
 	dropped int64
-
-	// parent is non-nil on a staged child; stage buffers its events.
-	parent *Tracer
-	stage  []Event
 }
 
 // NewTracer builds a tracer holding at most capacity events.
@@ -149,34 +139,8 @@ func NewTracer(capacity int) *Tracer {
 	return &Tracer{buf: make([]Event, 0, capacity)}
 }
 
-// Stage returns a staged child tracer that buffers events for later
-// deterministic replay into t (see Absorb). A nil receiver returns nil,
-// so disabled-telemetry wiring keeps its one-branch-per-site cost.
-func (t *Tracer) Stage() *Tracer {
-	if t == nil {
-		return nil
-	}
-	return &Tracer{parent: t}
-}
-
-// Absorb replays a staged child's buffered events into t in recording
-// order and resets the child. Nil child or receiver is a no-op.
-func (t *Tracer) Absorb(child *Tracer) {
-	if t == nil || child == nil {
-		return
-	}
-	for _, e := range child.stage {
-		t.add(e)
-	}
-	child.stage = child.stage[:0]
-}
-
 func (t *Tracer) add(e Event) {
 	if t == nil {
-		return
-	}
-	if t.parent != nil {
-		t.stage = append(t.stage, e)
 		return
 	}
 	if len(t.buf) < cap(t.buf) {

@@ -12,23 +12,12 @@
 // on — the interconnect assumed by the WAFCFS comparator (Yuan et al.
 // [51], Section VI-C2).
 //
-// Concurrency model for the parallel engine (Par = true): during an SM
-// phase only Inject and PopResponse run, each (sm, part) request FIFO has
-// exactly one writer (its SM), and the shared bookkeeping (queued counts,
-// wake bounds, counters) is maintained with commutative atomics (adds and
-// CAS-min), so any interleaving produces the same state. During a
-// partition phase only PeekPart/pops and Respond run with the symmetric
-// single-writer property per (part, sm) response FIFO. The whole-crossbar
-// minima are recomputed exactly by the coordinator at each phase barrier
-// (RecomputeMins); the per-pop global-min maintenance of the serial
-// engines is skipped under Par because it reads other domains' entries.
+// An Xbar is not safe for concurrent use: every engine drives it from one
+// goroutine in component order, so plain field updates keep the wake
+// bounds and counters exact.
 package xbar
 
-import (
-	"sync/atomic"
-
-	"dramlat/internal/memreq"
-)
+import "dramlat/internal/memreq"
 
 // never is the wakeup-contract sentinel (see dram.Never).
 const never int64 = 1 << 62
@@ -94,12 +83,6 @@ type Xbar struct {
 	// NoInterleave makes each partition port drain one SM completely
 	// before rotating (WAFCFS interconnect).
 	NoInterleave bool
-	// Par marks parallel-engine use: the per-pop global-min recomputes
-	// are skipped (they read other domains' wake entries) and the
-	// coordinator restores exact minima at each barrier via
-	// RecomputeMins. Serial engines leave it false and keep the minima
-	// exact at every step.
-	Par bool
 
 	toPart [][]ring // [sm][part] request FIFOs
 	toSM   [][]ring // [part][sm] response FIFOs
@@ -110,9 +93,8 @@ type Xbar struct {
 	// pendSM/pendRot record, per partition, which SM's head the last
 	// successful PeekPart returned and the round-robin rotation PopPart
 	// must apply when it consumes it. Keeping the pending pop as flat
-	// per-partition state (written only by the partition's own phase
-	// domain) lets PeekPart avoid allocating a pop closure per request
-	// on the hottest crossbar path.
+	// per-partition state lets PeekPart avoid allocating a pop closure
+	// per request on the hottest crossbar path.
 	pendSM  []int
 	pendRot []int
 
@@ -123,7 +105,7 @@ type Xbar struct {
 	// pop attempt. A stale-early bound only costs a spurious visit.
 	reqWake  []int64
 	respWake []int64
-	queuedTo []int64 // per-partition queued request count (NoInterleave)
+	queuedTo []int // per-partition queued request count (NoInterleave)
 	// minReqWake / minRespWake are the exact minima of reqWake / respWake,
 	// kept current by the same insert/pop maintenance, so the system loop
 	// gets a whole-crossbar wake bound in O(1) per tick.
@@ -149,7 +131,7 @@ func New(numSM, numPart int, latency int64, capPerQueue int) *Xbar {
 		rrResp:   make([]int, numSM),
 		reqWake:  make([]int64, numPart),
 		respWake: make([]int64, numSM),
-		queuedTo: make([]int64, numPart),
+		queuedTo: make([]int, numPart),
 	}
 	x.minReqWake = never
 	x.minRespWake = never
@@ -171,32 +153,24 @@ func New(numSM, numPart int, latency int64, capPerQueue int) *Xbar {
 	return x
 }
 
-// casMin lowers *addr to v if v is smaller. The operation commutes, so
-// concurrent callers from any phase domain converge to the same value.
-func casMin(addr *int64, v int64) {
-	for {
-		cur := atomic.LoadInt64(addr)
-		if v >= cur || atomic.CompareAndSwapInt64(addr, cur, v) {
-			return
-		}
-	}
-}
-
 // Inject offers a request from SM sm toward its partition (req.Channel).
-// It returns false when the queue is full. Safe for concurrent use by
-// distinct SMs during a parallel SM phase.
+// It returns false when the queue is full.
 func (x *Xbar) Inject(sm int, req *memreq.Request, now int64) bool {
 	q := &x.toPart[sm][req.Channel]
 	if q.len() >= x.CapPerQueue {
-		atomic.AddInt64(&x.Rejected, 1)
+		x.Rejected++
 		return false
 	}
-	q.push(entry{req, now + x.Latency})
-	atomic.AddInt64(&x.Injected, 1)
-	atomic.AddInt64(&x.queuedTo[req.Channel], 1)
 	t := now + x.Latency
-	casMin(&x.reqWake[req.Channel], t)
-	casMin(&x.minReqWake, t)
+	q.push(entry{req, t})
+	x.Injected++
+	x.queuedTo[req.Channel]++
+	if t < x.reqWake[req.Channel] {
+		x.reqWake[req.Channel] = t
+	}
+	if t < x.minReqWake {
+		x.minReqWake = t
+	}
 	return true
 }
 
@@ -228,7 +202,7 @@ func (x *Xbar) PeekPart(part int, now int64) *memreq.Request {
 	// reqWake is a lower bound on the earliest head readyAt, so a future
 	// bound proves the SM scan below would find nothing. The arbitration
 	// state is untouched either way (rrReq only moves on a pop).
-	if atomic.LoadInt64(&x.queuedTo[part]) == 0 || atomic.LoadInt64(&x.reqWake[part]) > now {
+	if x.queuedTo[part] == 0 || x.reqWake[part] > now {
 		return nil
 	}
 	for i := 0; i < x.NumSM; i++ {
@@ -260,7 +234,7 @@ func (x *Xbar) headIfReady(sm, part int, now int64) *memreq.Request {
 // returned, advancing the round-robin arbitration past its SM.
 func (x *Xbar) PopPart(part int) {
 	x.toPart[x.pendSM[part]][part].pop()
-	atomic.AddInt64(&x.queuedTo[part], -1)
+	x.queuedTo[part]--
 	x.recomputeReqWake(part)
 	if rot := x.pendRot[part]; rot >= 0 {
 		x.rrReq[part] = rot
@@ -268,9 +242,7 @@ func (x *Xbar) PopPart(part int) {
 }
 
 // recomputeReqWake restores the exact per-partition request-wake bound
-// from the queue heads. Only partition `part`'s phase domain calls it, so
-// the index write is single-writer; the global-min pass is skipped under
-// Par (it reads every partition's bound) and restored at the barrier.
+// from the queue heads, then the whole-crossbar minimum.
 func (x *Xbar) recomputeReqWake(part int) {
 	w := never
 	for sm := 0; sm < x.NumSM; sm++ {
@@ -278,10 +250,7 @@ func (x *Xbar) recomputeReqWake(part int) {
 			w = q.front().readyAt
 		}
 	}
-	atomic.StoreInt64(&x.reqWake[part], w)
-	if x.Par {
-		return
-	}
+	x.reqWake[part] = w
 	m := never
 	for i := range x.reqWake {
 		if v := x.reqWake[i]; v < m {
@@ -298,10 +267,7 @@ func (x *Xbar) recomputeRespWake(sm int) {
 			w = q.front().readyAt
 		}
 	}
-	atomic.StoreInt64(&x.respWake[sm], w)
-	if x.Par {
-		return
-	}
+	x.respWake[sm] = w
 	m := never
 	for i := range x.respWake {
 		if v := x.respWake[i]; v < m {
@@ -311,29 +277,6 @@ func (x *Xbar) recomputeRespWake(sm int) {
 	x.minRespWake = m
 }
 
-// RecomputeMins restores the exact whole-crossbar minima from the
-// per-index wake bounds. The parallel engine's coordinator calls it at
-// every phase barrier; the per-index bounds themselves are maintained
-// exactly by their owning domains (pop recomputes) and by commutative
-// CAS-min inserts, so the restored minima are byte-identical to the
-// serially maintained ones.
-func (x *Xbar) RecomputeMins() {
-	m := never
-	for i := range x.reqWake {
-		if v := atomic.LoadInt64(&x.reqWake[i]); v < m {
-			m = v
-		}
-	}
-	atomic.StoreInt64(&x.minReqWake, m)
-	m = never
-	for i := range x.respWake {
-		if v := atomic.LoadInt64(&x.respWake[i]); v < m {
-			m = v
-		}
-	}
-	atomic.StoreInt64(&x.minRespWake, m)
-}
-
 // ReqWake returns the earliest tick at which PeekPart(part, ·) could
 // return a request, or never when nothing is queued toward part. In
 // NoInterleave mode the partition must be visited every tick while any
@@ -341,43 +284,41 @@ func (x *Xbar) RecomputeMins() {
 // even on not-ready heads.
 func (x *Xbar) ReqWake(part int) int64 {
 	if x.NoInterleave {
-		if atomic.LoadInt64(&x.queuedTo[part]) > 0 {
+		if x.queuedTo[part] > 0 {
 			return 0
 		}
 		return never
 	}
-	return atomic.LoadInt64(&x.reqWake[part])
+	return x.reqWake[part]
 }
 
 // RespWake returns the earliest tick at which PopResponse(sm, ·) could
 // return a response, or never when none are queued. The bound may be
 // stale-early (≤ now with no deliverable head), which only costs a
 // spurious SM visit, never a missed one.
-func (x *Xbar) RespWake(sm int) int64 { return atomic.LoadInt64(&x.respWake[sm]) }
+func (x *Xbar) RespWake(sm int) int64 { return x.respWake[sm] }
 
 // MinRespWake returns min over SMs of RespWake — the earliest tick any
 // SM could receive a response.
-func (x *Xbar) MinRespWake() int64 { return atomic.LoadInt64(&x.minRespWake) }
+func (x *Xbar) MinRespWake() int64 { return x.minRespWake }
 
 // MinReqWake returns min over partitions of ReqWake — the earliest tick
 // any partition could receive a request.
 func (x *Xbar) MinReqWake() int64 {
 	if x.NoInterleave {
 		for i := range x.queuedTo {
-			if atomic.LoadInt64(&x.queuedTo[i]) > 0 {
+			if x.queuedTo[i] > 0 {
 				return 0
 			}
 		}
 		return never
 	}
-	return atomic.LoadInt64(&x.minReqWake)
+	return x.minReqWake
 }
 
 // Respond sends a response from partition part back to the request's SM.
 // The response path is modeled with latency but without back-pressure (the
-// SM drains one response per tick, far above the DRAM return rate). Safe
-// for concurrent use by distinct partitions during a parallel partition
-// phase.
+// SM drains one response per tick, far above the DRAM return rate).
 func (x *Xbar) Respond(part int, req *memreq.Request, now int64) {
 	sm := int(req.Group.SM)
 	if !req.Group.Valid() {
@@ -388,11 +329,15 @@ func (x *Xbar) Respond(part int, req *memreq.Request, now int64) {
 
 // RespondTo sends a response to an explicit SM (for ungrouped traffic).
 func (x *Xbar) RespondTo(part, sm int, req *memreq.Request, now int64) {
-	x.toSM[part][sm].push(entry{req, now + x.Latency})
-	atomic.AddInt64(&x.Responses, 1)
 	t := now + x.Latency
-	casMin(&x.respWake[sm], t)
-	casMin(&x.minRespWake, t)
+	x.toSM[part][sm].push(entry{req, t})
+	x.Responses++
+	if t < x.respWake[sm] {
+		x.respWake[sm] = t
+	}
+	if t < x.minRespWake {
+		x.minRespWake = t
+	}
 }
 
 // PopResponse returns the next response for SM sm at tick now, or nil.

@@ -47,9 +47,6 @@ func TestHashExcludedKnobsAreResultNeutral(t *testing.T) {
 	}{
 		{"engine-event", func(s *RunSpec) { s.Engine = "event" }},
 		{"engine-dense", func(s *RunSpec) { s.Engine = "dense" }},
-		{"engine-parallel", func(s *RunSpec) { s.Engine = "parallel" }},
-		{"shards", func(s *RunSpec) { s.Engine = "parallel"; s.Shards = 3 }},
-		{"dense-loop", func(s *RunSpec) { s.DenseLoop = true }},
 		{"max-cycles-sufficient", func(s *RunSpec) { s.MaxCycles = 100_000_000 }},
 		{"stall-cycles", func(s *RunSpec) { s.StallCycles = 5_000_000 }},
 		{"telemetry", func(s *RunSpec) { s.Telemetry = TelemetryOptions{Events: true, EventCap: 64} }},
@@ -69,6 +66,27 @@ func TestHashExcludedKnobsAreResultNeutral(t *testing.T) {
 				t.Fatalf("hash-excluded knob changed Results:\n got %+v\nwant %+v", got, want)
 			}
 		})
+	}
+}
+
+// The sweep cache is keyed on RunSpec.Hash(), so a hash that drifts —
+// through a renamed or added RunSpec field, a changed default, or a
+// toolchain whose encoding/json ignores the omitzero tag — silently
+// invalidates every existing cache. These values pin the canonical
+// encoding of one exact and one sampled spec.
+func TestSpecHashGolden(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		spec RunSpec
+		want string
+	}{
+		{"exact", exactTinySpec(), "a1ad37823d0f312f1b1c05a3e914474ea6eaa3af915b362e2eff82b07873bddc"},
+		{"sampled", sampledTinySpec(), "ed876ab99d8bf06b44b9f587a9a4b3fb0d87d9e5308780f79becc208ffbe7926"},
+	} {
+		if got := c.spec.Hash(); got != c.want {
+			json, _ := c.spec.CanonicalJSON()
+			t.Errorf("%s spec hash = %s, want %s\ncanonical JSON: %s", c.name, got, c.want, json)
+		}
 	}
 }
 
@@ -133,7 +151,7 @@ func TestSampledRunDeterministic(t *testing.T) {
 
 // Exact engines must never report approximate results.
 func TestExactEnginesAreNotApproximate(t *testing.T) {
-	for _, engine := range []string{"", "dense", "parallel"} {
+	for _, engine := range []string{"", "dense"} {
 		spec := exactTinySpec()
 		spec.Engine = engine
 		res, err := Run(spec)

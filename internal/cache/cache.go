@@ -4,6 +4,8 @@
 // misses to the same line.
 package cache
 
+import "dramlat/internal/memreq"
+
 // Config sizes a cache.
 type Config struct {
 	SizeBytes int
@@ -20,10 +22,12 @@ type line struct {
 }
 
 // MSHR tracks one in-flight miss line and the requests merged into it.
+// Both fields are concrete types, not interfaces: storing a GroupID in an
+// interface would heap-box it on every miss.
 type MSHR struct {
 	Line    uint64
-	Owner   any   // the primary (in-flight) request's identity
-	Waiters []any // opaque waiter handles owned by the caller
+	Owner   memreq.GroupID    // the primary (in-flight) request's group
+	Waiters []*memreq.Request // requests merged onto the line, owned by the caller
 }
 
 // Cache is a blocking-free set-associative cache model. It tracks tags
@@ -210,7 +214,7 @@ func (c *Cache) MSHRAlloc(addr uint64) *MSHR {
 	if n := len(c.mshrFree); n > 0 {
 		m = c.mshrFree[n-1]
 		c.mshrFree = c.mshrFree[:n-1]
-		// Waiter handles are cleared at reuse time, not release time,
+		// Waiter pointers are cleared at reuse time, not release time,
 		// because MSHRRelease's caller still reads them.
 		ws := m.Waiters
 		for i := range ws {

@@ -696,6 +696,11 @@ func (w *WarpScheduler) merbFiller(r *memreq.Request) *memreq.Request {
 func (w *WarpScheduler) liveFillers(bank, row int) []*memreq.Request {
 	fk := [2]int{bank, row}
 	list := w.fillerIdx[fk]
+	if len(list) == 0 {
+		// No entry: there is nothing to drop, and parking the empty
+		// slice would grow fillerFree by one header per probe.
+		return nil
+	}
 	live := list[:0]
 	for _, r := range list {
 		if !r.Dispatched {

@@ -261,6 +261,20 @@ func (c *Channel) popHead(b int) {
 	c.qHead[b] = int32(h)
 }
 
+// push appends cmd to bank b's queue. A full backing array with popped
+// slots at its front is compacted rather than grown, so a queue that never
+// fully drains reuses its capacity instead of reallocating as it cycles.
+func (c *Channel) push(b int, cmd Command) {
+	q := c.queues[b]
+	if h := int(c.qHead[b]); h > 0 && len(q) == cap(q) {
+		n := copy(q, q[h:])
+		clear(q[n:])
+		q = q[:n]
+		c.qHead[b] = 0
+	}
+	c.queues[b] = append(q, cmd)
+}
+
 // newTxn returns a zeroed transaction, recycling a retired one when the
 // freelist has stock.
 func (c *Channel) newTxn(r *memreq.Request) *Transaction {
@@ -465,16 +479,16 @@ func (c *Channel) Enqueue(r *memreq.Request) *Transaction {
 		c.Stats.HitTxns++
 	} else {
 		if c.schedRow[b] != -1 {
-			c.queues[b] = append(c.queues[b], Command{Type: CmdPRE, Bank: b})
+			c.push(b, Command{Type: CmdPRE, Bank: b})
 		}
-		c.queues[b] = append(c.queues[b], Command{Type: CmdACT, Bank: b, Row: r.Row})
+		c.push(b, Command{Type: CmdACT, Bank: b, Row: r.Row})
 		c.schedRow[b] = int32(r.Row)
 		c.queuedScore[b] += 3
 		c.hitsSinceAct[b] = casPerTxn
 		c.Stats.MissTxns++
 	}
 	for i := 0; i < casPerTxn; i++ {
-		c.queues[b] = append(c.queues[b], Command{
+		c.push(b, Command{
 			Type: casType, Bank: b, Row: r.Row,
 			Txn: txn, Last: i == casPerTxn-1,
 		})

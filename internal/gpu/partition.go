@@ -40,9 +40,10 @@ type partition struct {
 	evictQ    []*memreq.Request // dirty write-backs awaiting the write queue
 	evictHead int
 
-	// pool recycles this partition's request traffic: absorbed writes and
-	// credits feed the next dirty-eviction write-back.
-	pool memreq.Pool
+	// pool is the System-wide request pool: absorbed stores and credits
+	// go back to it for the SMs' next loads, and dirty-eviction
+	// write-backs come from it.
+	pool *memreq.Pool
 
 	// didWork records whether the last Tick made observable progress: an
 	// O(1) "probably busy next tick too" signal that lets NextWakeup skip
@@ -76,8 +77,7 @@ func (p *partition) onReadDone(r *memreq.Request, now int64) {
 	}
 	p.x.Respond(p.id, r, now)
 	if m != nil {
-		for _, w := range m.Waiters {
-			mr := w.(*memreq.Request)
+		for _, mr := range m.Waiters {
 			if p.col != nil {
 				p.col.OnDRAMDone(mr.Group, now)
 			}
@@ -138,10 +138,10 @@ func (p *partition) process(r *memreq.Request, now int64) bool {
 	if m := p.l2.MSHRFor(r.Addr); m != nil {
 		p.L2Merges++
 		m.Waiters = append(m.Waiters, r)
-		if owner, ok := m.Owner.(memreq.GroupID); ok && owner != r.Group {
+		if m.Owner != r.Group {
 			// Another warp now waits on the owner group's line: the
 			// shared-data extension raises the owner's priority.
-			p.ctl.SharedDemand(owner, now)
+			p.ctl.SharedDemand(m.Owner, now)
 		}
 		if r.LastInChannel && !p.noCredits {
 			p.ctl.GroupComplete(r.Group, now)

@@ -103,6 +103,12 @@ type System struct {
 
 	atlas *memctrl.ATLASState
 
+	// pool is the one request freelist every SM and partition shares:
+	// requests die where the SMs never see them (stores and credits
+	// absorbed by an L2 slice), so per-component pools would leak them
+	// into a pool that only evictions draw from.
+	pool memreq.Pool
+
 	// Engine holds per-run engine counters (visit/skip rates). They are
 	// deliberately NOT part of Results: the engines batch work
 	// differently, and Results must stay byte-identical between them.
@@ -176,7 +182,7 @@ func NewSystem(cfg Config, w Workload) (*System, error) {
 				SizeBytes: cfg.L2SliceSize, LineBytes: cfg.LineBytes,
 				Ways: cfg.L2Ways, MSHRs: cfg.L2MSHRs,
 			}),
-			ctl: ctl, ws: ws, x: s.x, col: s.Col,
+			ctl: ctl, ws: ws, x: s.x, col: s.Col, pool: &s.pool,
 			pipeCap: cfg.L2PipeDepth,
 			mapper:  s.Mapper, mshrCap: cfg.L2MSHRs, l2Lat: cfg.L2Lat,
 			nextID:    creatorID(uint64(cfg.NumSMs + ch)),
@@ -204,6 +210,7 @@ func NewSystem(cfg Config, w Workload) (*System, error) {
 			ZeroDivergence:    cfg.ZeroDivergence,
 			PerfectCoalescing: cfg.PerfectCoalescing,
 			NextID:            creatorID(uint64(id)),
+			Pool:              &s.pool,
 			Collector:         s.Col,
 			Probe:             tracer,
 			ClassifyStalls:    sampler != nil,

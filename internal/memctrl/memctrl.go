@@ -219,6 +219,17 @@ func (ctl *Controller) AcceptWrite(r *memreq.Request, now int64) bool {
 		return false
 	}
 	r.Arrive = now
+	if h := ctl.wqHead; h > 0 && len(ctl.writeQ) == cap(ctl.writeQ) {
+		// Compact instead of growing: a queue held above the low
+		// watermark never empties, so without this its backing
+		// arrays would reallocate as the head cycles through them.
+		n := copy(ctl.writeQ, ctl.writeQ[h:])
+		clear(ctl.writeQ[n:])
+		ctl.writeQ = ctl.writeQ[:n]
+		ctl.wqBank = ctl.wqBank[:copy(ctl.wqBank, ctl.wqBank[h:])]
+		ctl.wqRow = ctl.wqRow[:copy(ctl.wqRow, ctl.wqRow[h:])]
+		ctl.wqHead = 0
+	}
 	ctl.writeQ = append(ctl.writeQ, r)
 	ctl.wqBank = append(ctl.wqBank, int32(r.Bank))
 	ctl.wqRow = append(ctl.wqRow, int32(r.Row))

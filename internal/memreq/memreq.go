@@ -119,7 +119,8 @@ func (r *Request) String() string {
 // returns a fully zeroed Request, so simulation behaviour is identical
 // whether a request is fresh or recycled, and identical across engines
 // that recycle in different orders. A Pool is not safe for concurrent
-// use; each SM and each partition owns one.
+// use; a gpu.System owns one and shares it with every SM and partition,
+// so a request absorbed anywhere feeds the next Get anywhere.
 type Pool struct {
 	free []*Request
 }

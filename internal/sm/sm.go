@@ -94,6 +94,10 @@ type Config struct {
 	Inject func(r *memreq.Request, now int64) bool
 	// NextID allocates globally unique request IDs.
 	NextID func() uint64
+	// Pool recycles requests. A gpu.System hands every SM and partition
+	// the same pool, so requests absorbed downstream (stores, credits)
+	// come back to the coalescer; nil gives the SM a private one.
+	Pool *memreq.Pool
 
 	Collector *stats.Collector
 
@@ -140,10 +144,10 @@ type SM struct {
 	// stops allocating once the working set is warm.
 	wsFree [][]waiter
 
-	// pool recycles this SM's request allocations: responses it has fully
-	// absorbed (Deliver) and replay-queue requests filtered by the L1
-	// (dropOrCredit) feed the coalescer's next fan-out.
-	pool memreq.Pool
+	// pool recycles request allocations (Config.Pool): responses this SM
+	// has fully absorbed (Deliver) and replay-queue requests filtered by
+	// the L1 (dropOrCredit) feed the coalescer's next fan-out.
+	pool *memreq.Pool
 	// scratch, missBuf, lineBuf and chanIdx are issueLoad's reusable
 	// per-call buffers (chanIdx is indexed by channel and tracks the last
 	// request per channel, replacing a per-load map).
@@ -222,6 +226,10 @@ func New(cfg Config, programs []Program) *SM {
 		blockedM: make([]uint64, words),
 		liveM:    make([]uint64, words),
 		memNextM: make([]uint64, words),
+		pool:     cfg.Pool,
+	}
+	if s.pool == nil {
+		s.pool = new(memreq.Pool)
 	}
 	s.L1 = s.l1
 	if cfg.Mapper != nil {

@@ -46,6 +46,10 @@ type GroupRec struct {
 type Collector struct {
 	groups map[memreq.GroupID]*GroupRec
 	done   []*GroupRec
+	// recs is the chunk new records are carved from: one allocation per
+	// recChunk records instead of one per warp-load. A full chunk is
+	// replaced, never grown, so handed-out *GroupRec pointers stay valid.
+	recs []GroupRec
 
 	// TotalLoads counts every warp-load issued, including fully
 	// L1-resident ones.
@@ -58,6 +62,18 @@ type Collector struct {
 	// Stores and StoreLines mirror the above for stores.
 	Stores     int64
 	StoreLines int64
+}
+
+// recChunk is the number of GroupRecs per chunk (about 30 KB).
+const recChunk = 256
+
+// newRec returns a zeroed record from the current chunk.
+func (c *Collector) newRec() *GroupRec {
+	if len(c.recs) == cap(c.recs) {
+		c.recs = make([]GroupRec, 0, recChunk)
+	}
+	c.recs = c.recs[:len(c.recs)+1]
+	return &c.recs[len(c.recs)-1]
 }
 
 // NewCollector returns an empty collector.
@@ -76,10 +92,12 @@ func (c *Collector) OnLoadIssue(id memreq.GroupID, now int64, lines, sent int) {
 	if sent == 0 {
 		return // fully L1-resident; nothing further to track
 	}
-	c.groups[id] = &GroupRec{
+	g := c.newRec()
+	*g = GroupRec{
 		ID: id, IssueTick: now, Lines: lines, Sent: sent,
 		FirstDRAMDone: -1, FirstResp: -1,
 	}
+	c.groups[id] = g
 }
 
 // OnStoreIssue records a store leaving the coalescer.
@@ -156,8 +174,9 @@ func (c *Collector) DoneSince(mark int) []*GroupRec {
 // histogram) sees them exactly like detailed groups.
 func (c *Collector) AddSynthetic(g GroupRec) {
 	g.Completed = true
-	rec := g
-	c.done = append(c.done, &rec)
+	rec := c.newRec()
+	*rec = g
+	c.done = append(c.done, rec)
 }
 
 // AddModeled bulk-adds the coalescer-level counters for loads and

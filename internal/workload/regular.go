@@ -23,16 +23,15 @@ func streamKernel(p Params, name string, arrays int, loadsPerIter, storesPerIter
 	}
 	n := p.scaled(iters)
 	b := newBuilder(p)
-	b.eachWarp(func(wr *rand.Rand, global int) sm.Program {
-		var prog sm.Program
+	b.eachWarp(func(wr *rand.Rand, global int, prog sm.Program) sm.Program {
 		for it := 0; it < n; it++ {
 			idx := ((global*n + it) * p.WarpSize) % (1 << 22)
 			for l := 0; l < loadsPerIter; l++ {
-				prog = append(prog, coalescedLoad(bases[l%arrays], idx+l*p.WarpSize, p.WarpSize))
+				prog = append(prog, b.coalescedLoad(bases[l%arrays], idx+l*p.WarpSize))
 				prog = append(prog, compute())
 			}
 			for s := 0; s < storesPerIter; s++ {
-				prog = append(prog, coalescedStore(bases[(loadsPerIter+s)%arrays], idx+s*p.WarpSize, p.WarpSize))
+				prog = append(prog, b.coalescedStore(bases[(loadsPerIter+s)%arrays], idx+s*p.WarpSize))
 			}
 			prog = computeN(prog, 2)
 		}

@@ -54,40 +54,34 @@ func (g *csr) degree(i int) int { return int(g.rowPtr[i+1] - g.rowPtr[i]) }
 // edges returns the column indices of node i's edges.
 func (g *csr) edges(i int) []int32 { return g.colIdx[g.rowPtr[i]:g.rowPtr[i+1]] }
 
-// octree is the Barnes-Hut substrate: a pool of tree nodes with child
-// pointers, allocated breadth-first the way the Lonestar builder does.
+// octree is the Barnes-Hut substrate: a pool of tree nodes allocated
+// breadth-first the way the Lonestar builder does, so each level is a
+// contiguous run of node ids. Only the level membership drives address
+// generation; child pointers are not kept.
 type octree struct {
 	levels [][]int32 // node indices per level (into the node pool)
-	child  [][8]int32
+	nodes  int32     // pool size
 }
 
 // randOctree builds a tree with the given depth; fanout thins with depth
 // (real octrees are sparse near the leaves).
 func randOctree(rng *rand.Rand, depth int) *octree {
-	t := &octree{}
-	var pool int32
+	t := &octree{nodes: 1}
 	cur := []int32{0}
-	pool = 1
-	t.child = append(t.child, [8]int32{})
 	for d := 0; d < depth; d++ {
 		t.levels = append(t.levels, cur)
+		maxKids := 8
+		if d > 2 {
+			maxKids = 4
+		}
 		var next []int32
-		for _, n := range cur {
+		for range cur {
 			kids := 0
-			maxKids := 8
-			if d > 2 {
-				maxKids = 4
-			}
 			for c := 0; c < 8 && kids < maxKids; c++ {
 				if rng.Intn(8) < maxKids {
-					id := pool
-					pool++
-					t.child = append(t.child, [8]int32{})
-					t.child[n][c] = id
-					next = append(next, id)
+					next = append(next, t.nodes)
+					t.nodes++
 					kids++
-				} else {
-					t.child[n][c] = -1
 				}
 			}
 		}
@@ -101,7 +95,7 @@ func randOctree(rng *rand.Rand, depth int) *octree {
 }
 
 // nodeCount returns the pool size.
-func (t *octree) nodeCount() int { return len(t.child) }
+func (t *octree) nodeCount() int { return int(t.nodes) }
 
 // pick returns a random node id at the given level (clamped).
 func (t *octree) pick(rng *rand.Rand, level int) int32 {

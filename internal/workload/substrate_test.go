@@ -89,38 +89,46 @@ func TestRandCSRDeterministic(t *testing.T) {
 func TestOctreeStructure(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	tr := randOctree(rng, 6)
-	if tr.nodeCount() < 10 {
-		t.Fatalf("tiny tree: %d nodes", tr.nodeCount())
+	// Pinned shape for seed 2, depth 6: the generator must keep making
+	// the same draws, or every bh workload changes.
+	wantSizes := []int{1, 8, 64, 512, 1760, 6121, 21199}
+	if tr.nodeCount() != 29665 || len(tr.levels) != len(wantSizes) {
+		t.Fatalf("%d nodes over %d levels, want 29665 over %d", tr.nodeCount(), len(tr.levels), len(wantSizes))
 	}
-	if len(tr.levels) < 3 {
-		t.Fatalf("only %d levels", len(tr.levels))
-	}
-	// Children must reference valid pool ids and levels must grow.
-	seen := map[int32]bool{0: true}
-	for _, lvl := range tr.levels {
+	// Ids are allocated breadth-first: the levels are consecutive runs
+	// that together cover the pool, and each level holds at most
+	// maxKids children per node of the level above.
+	next := int32(0)
+	for d, lvl := range tr.levels {
+		if len(lvl) != wantSizes[d] {
+			t.Fatalf("level %d has %d nodes, want %d", d, len(lvl), wantSizes[d])
+		}
 		for _, n := range lvl {
-			if int(n) >= tr.nodeCount() {
-				t.Fatalf("level node %d out of pool", n)
+			if n != next {
+				t.Fatalf("level %d: node %d, want breadth-first id %d", d, n, next)
 			}
-			for _, c := range tr.child[n] {
-				if c == -1 {
-					continue
-				}
-				if int(c) >= tr.nodeCount() {
-					t.Fatalf("child %d out of pool", c)
-				}
-				if seen[c] && c != 0 {
-					t.Fatalf("node %d has two parents", c)
-				}
-				seen[c] = true
+			next++
+		}
+		if d > 0 {
+			maxKids := 8
+			if d-1 > 2 {
+				maxKids = 4
+			}
+			if len(lvl) > maxKids*len(tr.levels[d-1]) {
+				t.Fatalf("level %d: %d nodes under %d parents with at most %d kids each",
+					d, len(lvl), len(tr.levels[d-1]), maxKids)
 			}
 		}
+	}
+	if int(next) != tr.nodeCount() {
+		t.Fatalf("levels cover %d ids, pool has %d", next, tr.nodeCount())
 	}
 	// pick must stay within the requested (clamped) level.
 	for lvl := 0; lvl < 10; lvl++ {
 		n := tr.pick(rng, lvl)
-		if int(n) >= tr.nodeCount() || n < 0 {
-			t.Fatalf("pick(%d) = %d out of range", lvl, n)
+		l := tr.levels[min(lvl, len(tr.levels)-1)]
+		if n < l[0] || n > l[len(l)-1] {
+			t.Fatalf("pick(%d) = %d outside the level's ids %d..%d", lvl, n, l[0], l[len(l)-1])
 		}
 	}
 }

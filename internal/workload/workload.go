@@ -124,28 +124,60 @@ func (a *arena) alloc(bytes uint64) uint64 {
 	return base
 }
 
-// builder accumulates per-warp programs.
+// builder accumulates per-warp programs. Instructions and their lane
+// addresses are carved from shared slabs, so a build allocates per chunk,
+// not per instruction. Every carved slice is capacity-capped, so an append
+// to one instruction's Addrs reallocates instead of overwriting its
+// neighbour's.
 type builder struct {
 	p     Params
 	progs [][]sm.Program
+	// rng is the build's one random source: the substrate generator
+	// draws from it first, then eachWarp reseeds it per warp, which
+	// yields exactly the draws of a fresh rand.NewSource per warp
+	// without allocating one (~5 KB) each.
+	rng   *rand.Rand
+	prog  sm.Program // per-warp scratch program, reused across warps
+	insns []sm.Insn  // instruction slab
+	addrs []uint64   // address slab
 }
 
+// Slab chunk sizes (128 KB each). A list longer than a chunk gets a
+// chunk of its own.
+const (
+	insnChunk = 4096
+	addrChunk = 16384
+)
+
 func newBuilder(p Params) *builder {
-	b := &builder{p: p, progs: make([][]sm.Program, p.NumSMs)}
+	b := &builder{
+		p:     p,
+		progs: make([][]sm.Program, p.NumSMs),
+		rng:   rand.New(rand.NewSource(p.Seed)),
+	}
 	for i := range b.progs {
 		b.progs[i] = make([]sm.Program, p.WarpsPerSM)
 	}
 	return b
 }
 
-// eachWarp invokes f for every (sm, warp) with a per-warp RNG and global
-// warp index; f returns the warp's program.
-func (b *builder) eachWarp(f func(rng *rand.Rand, global int) sm.Program) {
+// seed reseeds the build's random source and returns it, for the
+// substrate generators that run before eachWarp.
+func (b *builder) seed(seed int64) *rand.Rand {
+	b.rng.Seed(seed)
+	return b.rng
+}
+
+// eachWarp invokes f for every (sm, warp) with a per-warp RNG, the global
+// warp index and an empty scratch program to append to; f returns the
+// warp's program, which eachWarp copies into the instruction slab.
+func (b *builder) eachWarp(f func(rng *rand.Rand, global int, prog sm.Program) sm.Program) {
 	for s := 0; s < b.p.NumSMs; s++ {
 		for w := 0; w < b.p.WarpsPerSM; w++ {
 			g := s*b.p.WarpsPerSM + w
-			rng := rand.New(rand.NewSource(b.p.Seed + int64(g)*7919))
-			b.progs[s][w] = f(rng, g)
+			b.rng.Seed(b.p.Seed + int64(g)*7919)
+			b.prog = f(b.rng, g, b.prog[:0])
+			b.progs[s][w] = b.keepProg(b.prog)
 		}
 	}
 }
@@ -154,26 +186,77 @@ func (b *builder) workload(name string) gpu.Workload {
 	return gpu.Workload{Name: name, Programs: b.progs}
 }
 
+// carve returns n elements from the end of *slab, starting a new chunk of
+// max(chunk, n) elements when the current one has no room. The result is
+// capacity-capped, and nil when n is 0.
+func carve[T any](slab *[]T, n, chunk int) []T {
+	if n == 0 {
+		return nil
+	}
+	s := *slab
+	if len(s)+n > cap(s) {
+		s = make([]T, 0, max(chunk, n))
+	}
+	i := len(s)
+	s = s[:i+n]
+	*slab = s
+	return s[i : i+n : i+n]
+}
+
+// keepProg copies a finished program into the instruction slab.
+func (b *builder) keepProg(p sm.Program) sm.Program {
+	out := carve(&b.insns, len(p), insnChunk)
+	copy(out, p)
+	return out
+}
+
+// alloc carves n addresses from the address slab.
+func (b *builder) alloc(n int) []uint64 { return carve(&b.addrs, n, addrChunk) }
+
+// keep copies a finished address list into the address slab; callers
+// build lists in scratch buffers they reuse.
+func (b *builder) keep(addrs []uint64) []uint64 {
+	out := b.alloc(len(addrs))
+	copy(out, addrs)
+	return out
+}
+
 // gather emits a warp load of one 4-byte element per lane.
-func gather(addrs []uint64) sm.Insn { return sm.Insn{Kind: sm.Load, Addrs: addrs} }
+func (b *builder) gather(addrs []uint64) sm.Insn {
+	return sm.Insn{Kind: sm.Load, Addrs: b.keep(addrs)}
+}
 
 // scatter emits a warp store of one 4-byte element per lane.
-func scatter(addrs []uint64) sm.Insn { return sm.Insn{Kind: sm.Store, Addrs: addrs} }
+func (b *builder) scatter(addrs []uint64) sm.Insn {
+	return sm.Insn{Kind: sm.Store, Addrs: b.keep(addrs)}
+}
 
 // coalescedLoad reads warpSize consecutive 4B elements starting at base +
 // idx*4 — one or two 128B lines.
-func coalescedLoad(base uint64, idx int, warpSize int) sm.Insn {
-	addrs := make([]uint64, warpSize)
+func (b *builder) coalescedLoad(base uint64, idx int) sm.Insn {
+	addrs := b.alloc(b.p.WarpSize)
 	for i := range addrs {
 		addrs[i] = base + uint64(idx+i)*4
 	}
 	return sm.Insn{Kind: sm.Load, Addrs: addrs}
 }
 
-func coalescedStore(base uint64, idx int, warpSize int) sm.Insn {
-	in := coalescedLoad(base, idx, warpSize)
+func (b *builder) coalescedStore(base uint64, idx int) sm.Insn {
+	in := b.coalescedLoad(base, idx)
 	in.Kind = sm.Store
 	return in
+}
+
+// permInto fills buf with a random permutation of 0..len(buf)-1, making
+// exactly the draws rand.(*Rand).Perm(len(buf)) makes, into a reused
+// buffer.
+func permInto(rng *rand.Rand, buf []int) []int {
+	for i := range buf {
+		j := rng.Intn(i + 1)
+		buf[i] = buf[j]
+		buf[j] = i
+	}
+	return buf
 }
 
 // elem4 returns the address of a 4-byte element.

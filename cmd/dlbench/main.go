@@ -25,7 +25,6 @@ import (
 	"math"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"sort"
 	"strings"
 	"syscall"
@@ -35,16 +34,7 @@ import (
 	"dramlat/internal/atomicio"
 	"dramlat/internal/prof"
 	"dramlat/internal/sweep"
-	"dramlat/internal/sweepd/client"
 )
-
-// execer is the executor surface a session needs; both the local
-// sweep.Engine and the sweepd client.Remote satisfy it, so -server
-// swaps the backend without touching any table code.
-type execer interface {
-	RunContext(ctx context.Context, specs []dramlat.RunSpec) *sweep.Report
-	RunOneContext(ctx context.Context, spec dramlat.RunSpec) sweep.Outcome
-}
 
 // session is the per-invocation sweep state shared by every runner
 // (including the ablation sub-runners): the engine, an in-memory memo of
@@ -52,7 +42,7 @@ type execer interface {
 // for the exit summary and -json export.
 type session struct {
 	ctx      context.Context // cancels the whole invocation (SIGINT)
-	eng      execer
+	eng      *sweep.Engine
 	memo     map[string]sweep.Outcome // by canonical spec hash
 	order    []string                 // memo insertion order, for export
 	executed int
@@ -61,7 +51,7 @@ type session struct {
 	start    time.Time
 }
 
-func newSession(ctx context.Context, eng execer) *session {
+func newSession(ctx context.Context, eng *sweep.Engine) *session {
 	return &session{ctx: ctx, eng: eng, memo: map[string]sweep.Outcome{}, start: time.Now()}
 }
 
@@ -196,15 +186,6 @@ var experimentOrder = []string{"table1", "table2", "table3", "fig2", "fig3", "fi
 	"sbwas", "wafcfs", "util1bank", "ablation", "cpusched", "extension",
 	"sensitivity", "motivation"}
 
-// defaultCacheDir resolves the persistent sweep cache location: the
-// user cache dir when available, else a dot-dir in the working tree.
-func defaultCacheDir() string {
-	if d, err := os.UserCacheDir(); err == nil {
-		return filepath.Join(d, "dramlat", "sweep")
-	}
-	return ".dramlat-sweep"
-}
-
 func main() {
 	exp := flag.String("exp", "all", "experiment id (table1..3, fig2..4, fig8..12, regular, power, sbwas, wafcfs, util1bank, all)")
 	scale := flag.Float64("scale", 1.0, "work scale")
@@ -213,10 +194,8 @@ func main() {
 	seed := flag.Int64("seed", 1, "workload seed")
 	seeds := flag.Int("seeds", 1, "average kernel times over this many seeds")
 	workers := flag.Int("workers", 0, "parallel simulations (0 = GOMAXPROCS)")
-	server := flag.String("server", "", "run the simulations on a dlserve instance at this URL instead of locally")
-	priority := flag.Int("priority", 0, "with -server: job priority (higher runs first)")
 	engine := flag.String("engine", "", "simulation engine: event (default), dense (both exact, sharing cache entries) or sampled (approximate paper numbers — error bars are not printed, prefer exact engines here)")
-	cacheDir := flag.String("cache", defaultCacheDir(), "persistent result cache dir (\"none\" disables)")
+	cacheDir := flag.String("cache", sweep.DefaultCacheDir(), "persistent result cache dir (\"none\" disables)")
 	jsonOut := flag.String("json", "", "also write every run as sweep JSON to this file (\"-\" = stdout)")
 	pf := prof.Register()
 	flag.Parse()
@@ -234,29 +213,22 @@ func main() {
 		fmt.Fprintf(os.Stderr, "  [%3d/%3d] ran %s/%s seed %d %10d ticks\n",
 			ev.Done, ev.Total, sp.Benchmark, sp.Scheduler, sp.Seed, ev.Outcome.Results.Ticks)
 	}
-	var ex execer
 	var cache *sweep.Cache
-	if *server != "" {
-		// Thin-client mode: simulations run on a dlserve instance with its
-		// own cache, worker pool and engine selection.
-		ex = &client.Remote{BaseURL: *server, Priority: *priority, Progress: progress}
-	} else {
-		if *cacheDir != "" && *cacheDir != "none" {
-			var err error
-			cache, err = sweep.OpenCache(*cacheDir)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "dlbench: %v (running uncached)\n", err)
-			}
+	if *cacheDir != "" && *cacheDir != "none" {
+		var err error
+		cache, err = sweep.OpenCache(*cacheDir)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "dlbench: %v (running uncached)\n", err)
 		}
-		ex = &sweep.Engine{Workers: *workers, Cache: cache, Progress: progress}
 	}
+	eng := &sweep.Engine{Workers: *workers, Cache: cache, Progress: progress}
 	// First SIGINT/SIGTERM cancels the session: in-flight simulations
 	// abort at their next watchdog check, finished results are already
 	// cached, and the partial accounting (and -json export) is still
 	// written — re-running the same command resumes from the cache.
 	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer cancel()
-	s := newSession(ctx, ex)
+	s := newSession(ctx, eng)
 	r := &runner{scale: *scale, sms: *sms, warps: *warps, seed: *seed, seeds: *seeds,
 		engine: *engine, s: s}
 
@@ -288,12 +260,8 @@ func main() {
 	}
 	s.prewarm(specs)
 	if len(specs) > 0 {
-		backend := "cache: " + cache.Dir()
-		if *server != "" {
-			backend = "server: " + *server
-		}
-		fmt.Fprintf(os.Stderr, "sweep: %d unique specs, %d executed, %d cached, %d failed (%s)\n",
-			len(s.order), s.executed, s.cached, s.failed, backend)
+		fmt.Fprintf(os.Stderr, "sweep: %d unique specs, %d executed, %d cached, %d failed (cache: %s)\n",
+			len(s.order), s.executed, s.cached, s.failed, cache.Dir())
 	}
 
 	if ctx.Err() != nil {

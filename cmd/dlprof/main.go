@@ -11,17 +11,12 @@
 //	dlprof -bench spmv -sched gmc -sample-every 2000 -intervals
 //	dlprof -bench bfs -events bfs.events.jsonl -chrome bfs.trace.json
 //	dlprof -read bfs.events.jsonl -top 10 -validate
-//	dlprof -server http://localhost:8080 -spec-hash <hash> -top 10
 //
 // The -chrome output loads directly in Perfetto (ui.perfetto.dev) or
 // chrome://tracing; -events emits the JSONL schema read back by -read.
-// Remote mode (-server) fetches a spec's server-captured event trace
-// from a dlserve artifact endpoint and produces output byte-identical
-// to analyzing the server-side file in place.
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -29,7 +24,6 @@ import (
 	"text/tabwriter"
 
 	"dramlat"
-	"dramlat/internal/sweepd/client"
 	"dramlat/internal/telemetry"
 )
 
@@ -41,11 +35,6 @@ func fail(err error) {
 func main() {
 	// Trace-consumption mode.
 	read := flag.String("read", "", "JSONL event trace to analyze instead of running a simulation")
-
-	// Remote trace-consumption mode: pull the trace from a dlserve
-	// artifact endpoint instead of the local filesystem.
-	server := flag.String("server", "", "dlserve base URL to fetch the trace from (needs -spec-hash)")
-	specHash := flag.String("spec-hash", "", "spec content hash whose server-captured trace to analyze")
 
 	// Run mode: spec selection (mirrors cmd/dlsim).
 	bench := flag.String("bench", "", "benchmark to run (see dlsim -list)")
@@ -67,19 +56,9 @@ func main() {
 	hist := flag.Bool("hist", true, "print the divergence-gap histogram")
 	flag.Parse()
 
-	modes := 0
-	for _, on := range []bool{*read != "", *bench != "", *server != ""} {
-		if on {
-			modes++
-		}
-	}
 	switch {
-	case modes > 1:
-		fail(fmt.Errorf("use exactly one of -read, -bench or -server"))
-	case *server != "" && *specHash == "":
-		fail(fmt.Errorf("-server needs -spec-hash"))
-	case *server != "":
-		analyzeRemote(*server, *specHash, *validate, *top, *hist, *chrome, *events)
+	case *read != "" && *bench != "":
+		fail(fmt.Errorf("use exactly one of -read or -bench"))
 	case *read != "":
 		analyzeFile(*read, *validate, *top, *hist, *chrome, *events)
 	case *bench != "":
@@ -160,34 +139,8 @@ func analyzeFile(path string, validate bool, top int, hist bool, chrome, events 
 	if err != nil {
 		fail(err)
 	}
-	analyzeEvents(path, evs, validate, top, hist, chrome, events)
-}
-
-// analyzeRemote fetches a spec's server-captured event trace and runs
-// the exact analysis path of -read. The header names the artifact file
-// (<hash>.events.jsonl), so the full output is byte-identical to
-// running dlprof -read against the server-side file from inside the
-// artifact dir — remote and local analysis stay diffable.
-func analyzeRemote(server, hash string, validate bool, top int, hist bool, chrome, events string) {
-	r := &client.Remote{BaseURL: server}
-	name := hash + ".events.jsonl"
-	rc, err := r.Artifact(context.Background(), hash, "events.jsonl")
-	if err != nil {
-		fail(err)
-	}
-	evs, err := telemetry.ReadJSONL(rc)
-	rc.Close()
-	if err != nil {
-		fail(err)
-	}
-	analyzeEvents(name, evs, validate, top, hist, chrome, events)
-}
-
-// analyzeEvents is the shared trace-consumption tail of -read and
-// -server: sort, headline, report, optional re-exports.
-func analyzeEvents(name string, evs []telemetry.Event, validate bool, top int, hist bool, chrome, events string) {
 	telemetry.SortEvents(evs)
-	fmt.Printf("trace                %s (%d events)\n", name, len(evs))
+	fmt.Printf("trace                %s (%d events)\n", path, len(evs))
 	a := telemetry.Analyze(evs)
 	fmt.Printf("divergence gap       %.1f ticks (trace)\n", a.DivergenceGap())
 	report(a, evs, validate, top, hist)

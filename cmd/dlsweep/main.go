@@ -30,15 +30,7 @@ import (
 	"dramlat/internal/atomicio"
 	"dramlat/internal/prof"
 	"dramlat/internal/sweep"
-	"dramlat/internal/sweepd/client"
 )
-
-// execer is the one surface dlsweep needs from an executor; both the
-// local sweep.Engine and the sweepd client.Remote satisfy it, so
-// -server swaps the backend without touching the report path.
-type execer interface {
-	RunContext(ctx context.Context, specs []dramlat.RunSpec) *sweep.Report
-}
 
 // stopProf flushes any active profiles before an error exit; main swaps
 // in the real stopper once the profiling flags are parsed.
@@ -148,14 +140,12 @@ func main() {
 	ablations := flag.String("ablation", "", "comma list of ablations (count-score,no-orphan,no-credits)")
 	warpscheds := flag.String("warpsched", "", "comma list of SM warp schedulers (gto,lrr)")
 	workers := flag.Int("workers", 0, "parallel simulations (0 = GOMAXPROCS)")
-	server := flag.String("server", "", "run the sweep on a dlserve instance at this URL instead of locally")
-	priority := flag.Int("priority", 0, "with -server: job priority (higher runs first)")
 	engine := flag.String("engine", "", "simulation engine: event (default), dense (both exact, sharing cache entries) or sampled (approximate, with error bars, cached separately)")
 	sampleWindow := flag.Int64("sample-window", 0, "sampled engine: detailed measurement window cycles (0 = default)")
 	sampleFF := flag.Int64("sample-ff", 0, "sampled engine: fast-forward cycles per region (0 = default)")
 	sampleWarmup := flag.Int64("sample-warmup", 0, "sampled engine: detailed warm-up cycles after each jump (0 = default)")
 	runTimeout := flag.Duration("timeout", 0, "per-run wall-clock budget (0 = none); overruns fail like any other spec")
-	cacheDir := flag.String("cache", defaultCacheDir(), "persistent result cache dir (\"none\" disables)")
+	cacheDir := flag.String("cache", sweep.DefaultCacheDir(), "persistent result cache dir (\"none\" disables)")
 	format := flag.String("format", "json", "output format: json or csv")
 	out := flag.String("o", "-", "output file (\"-\" = stdout)")
 	quiet := flag.Bool("q", false, "suppress per-run progress on stderr")
@@ -241,10 +231,10 @@ func main() {
 			fail(fmt.Errorf("-engine sampled cannot be combined with -trace-dir: fast-forward regions are modeled and have no events to capture"))
 		}
 		// Materialize the hash-included Sampled block on every spec
-		// before any hashing happens: it is what travels to a dlserve
-		// instance (the Engine string is JSON-suppressed) and what keeps
-		// approximate results in their own cache entries, never shared
-		// with exact runs.
+		// before any hashing happens: the Engine string is excluded from
+		// the hash, so the Sampled block is what keeps approximate
+		// results in their own cache entries, never shared with exact
+		// runs.
 		opts := dramlat.SampledOptions{
 			WindowCycles:      *sampleWindow,
 			FastForwardCycles: *sampleFF,
@@ -257,55 +247,33 @@ func main() {
 			specs[i].Sampled = opts
 		}
 	}
-	var ex execer
-	var remote *client.Remote
-	if *server != "" {
-		// Thin-client mode: the sweep runs on a dlserve instance; its
-		// cache, worker pool and engine selection apply. With -trace-dir
-		// the server captures telemetry and the artifacts are downloaded
-		// into the local dir after the run, byte-identical to a local
-		// capture.
-		remote = &client.Remote{BaseURL: *server, Priority: *priority, Progress: progress}
-		if *traceDir != "" {
-			if !*traceEvents && *sampleEvery <= 0 {
-				fail(fmt.Errorf("-trace-dir needs -trace-events and/or -sample-every"))
-			}
-			remote.Telemetry = &dramlat.TelemetryOptions{
-				Events: *traceEvents, EventCap: *traceCap, SampleEvery: *sampleEvery,
-			}
+	var cache *sweep.Cache
+	if *cacheDir != "" && *cacheDir != "none" {
+		var err error
+		if cache, err = sweep.OpenCache(*cacheDir); err != nil {
+			fail(err)
 		}
-		ex = remote
-		fmt.Fprintf(os.Stderr, "dlsweep: %d specs on %s\n", len(specs), *server)
-	} else {
-		var cache *sweep.Cache
-		if *cacheDir != "" && *cacheDir != "none" {
-			var err error
-			if cache, err = sweep.OpenCache(*cacheDir); err != nil {
-				fail(err)
-			}
-		}
-		eng := &sweep.Engine{Workers: *workers, Cache: cache,
-			RunTimeout: *runTimeout, Progress: progress}
-		if *traceDir != "" {
-			if !*traceEvents && *sampleEvery <= 0 {
-				fail(fmt.Errorf("-trace-dir needs -trace-events and/or -sample-every"))
-			}
-			eng.TelemetryDir = *traceDir
-			eng.Telemetry = dramlat.TelemetryOptions{
-				Events: *traceEvents, EventCap: *traceCap, SampleEvery: *sampleEvery,
-			}
-		}
-		for i := range specs {
-			specs[i].Engine = *engine
-		}
-		nw := *workers
-		if nw <= 0 {
-			nw = runtime.GOMAXPROCS(0)
-		}
-		fmt.Fprintf(os.Stderr, "dlsweep: %d specs on %d workers (cache: %s)\n",
-			len(specs), nw, cache.Dir())
-		ex = eng
 	}
+	eng := &sweep.Engine{Workers: *workers, Cache: cache,
+		RunTimeout: *runTimeout, Progress: progress}
+	if *traceDir != "" {
+		if !*traceEvents && *sampleEvery <= 0 {
+			fail(fmt.Errorf("-trace-dir needs -trace-events and/or -sample-every"))
+		}
+		eng.TelemetryDir = *traceDir
+		eng.Telemetry = dramlat.TelemetryOptions{
+			Events: *traceEvents, EventCap: *traceCap, SampleEvery: *sampleEvery,
+		}
+	}
+	for i := range specs {
+		specs[i].Engine = *engine
+	}
+	nw := *workers
+	if nw <= 0 {
+		nw = runtime.GOMAXPROCS(0)
+	}
+	fmt.Fprintf(os.Stderr, "dlsweep: %d specs on %d workers (cache: %s)\n",
+		len(specs), nw, cache.Dir())
 
 	// First SIGINT/SIGTERM cancels the sweep: in-flight runs abort at
 	// their next watchdog check, completed results are already in the
@@ -314,33 +282,11 @@ func main() {
 	// process the usual way.
 	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer cancel()
-	rep := ex.RunContext(ctx, specs)
+	rep := eng.RunContext(ctx, specs)
 	if ctx.Err() != nil {
 		fmt.Fprintln(os.Stderr, "dlsweep: interrupted — writing partial report (cached results are kept; re-run to resume)")
 	}
 	fmt.Fprintln(os.Stderr, "dlsweep:", rep.Summary())
-	if remote != nil && *traceDir != "" {
-		if err := os.MkdirAll(*traceDir, 0o755); err != nil {
-			fail(err)
-		}
-		// Pull each successful spec's server-captured artifacts into the
-		// local trace dir, mirroring the server's <hash>.<name> layout.
-		seen := map[string]bool{}
-		files := 0
-		for _, o := range rep.Outcomes {
-			if o.Err != nil || seen[o.Hash] {
-				continue
-			}
-			seen[o.Hash] = true
-			paths, err := remote.DownloadArtifacts(ctx, o.Hash, *traceDir)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "dlsweep: artifacts for %s: %v\n", o.Hash, err)
-				continue
-			}
-			files += len(paths)
-		}
-		fmt.Fprintf(os.Stderr, "dlsweep: downloaded %d artifact files into %s\n", files, *traceDir)
-	}
 	if err := pf.WriteBench(rep.Outcomes); err != nil {
 		fail(err)
 	}
@@ -377,12 +323,4 @@ func main() {
 		pf.Stop()
 		os.Exit(1)
 	}
-}
-
-// defaultCacheDir mirrors cmd/dlbench so the two tools share a cache.
-func defaultCacheDir() string {
-	if d, err := os.UserCacheDir(); err == nil {
-		return d + "/dramlat/sweep"
-	}
-	return ".dramlat-sweep"
 }

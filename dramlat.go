@@ -146,8 +146,8 @@ type SampledOptions struct {
 func (o SampledOptions) Enabled() bool { return o != SampledOptions{} }
 
 // DefaultSampled returns the sampled engine's default window parameters
-// (the values a zero knob resolves to). Clients that need the Sampled
-// block to travel over the wire — the Engine string itself is
+// (the values a zero knob resolves to). Callers that need the Sampled
+// block in a spec's JSON and hash — the Engine string itself is
 // JSON-suppressed — materialize it with this instead of restating the
 // defaults.
 func DefaultSampled() SampledOptions {

@@ -41,11 +41,6 @@ type StallDump = guard.StallDump
 // invariant checks; it surfaces as the Panic field of a RunError.
 type InvariantViolation = guard.InvariantViolation
 
-// QuarantineError marks a poison spec the sweep fleet retired after
-// repeated worker deaths: its job completes with this failure instead
-// of retrying forever.
-type QuarantineError = guard.QuarantineError
-
 // AccuracyError reports a sampled run outside its configured error
 // bounds against the exact event-engine reference (see CompareSampled):
 // the offending metric, both values and the allowed deviation.

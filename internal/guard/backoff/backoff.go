@@ -1,9 +1,7 @@
-// Package backoff is the retry-pacing helper shared by the sweep
-// fleet: the sweepd server uses it to space re-queues of specs whose
-// worker died, and the HTTP client uses it to pace stream reconnects
-// and claim retries. It is deliberately tiny — one Policy value, one
-// Delay function — so every retry loop in the repo paces itself the
-// same way and tests can pin the schedule with an injected rand.
+// Package backoff computes retry pauses: one Policy value, one Delay
+// function, exponentially growing and jittered, with an injectable
+// rand so tests can pin the schedule. No package in the repository
+// imports it at present.
 package backoff
 
 import (
@@ -35,7 +33,7 @@ type Policy struct {
 	Rand *rand.Rand
 }
 
-// Default is the fleet-wide policy: 100ms base, 30s cap, doubling,
+// Default is the standard policy: 100ms base, 30s cap, doubling,
 // half-jittered.
 func Default() Policy {
 	return Policy{Base: 100 * time.Millisecond, Cap: 30 * time.Second, Factor: 2, Jitter: 0.5}

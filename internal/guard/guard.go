@@ -115,27 +115,6 @@ func Invariantf(format string, args ...any) {
 	panic(InvariantViolation{Msg: fmt.Sprintf(format, args...)})
 }
 
-// QuarantineError marks a poison spec the sweep fleet gave up on:
-// every execution attempt took a worker down with it (lease expired
-// without a result), so after the retry budget the spec is failed
-// deterministically instead of cycling through — and eventually
-// wedging — the whole fleet. The job it belonged to terminates with
-// this outcome rather than hanging.
-type QuarantineError struct {
-	SpecHash   string // RunSpec.Hash() of the quarantined spec
-	Attempts   int    // executions granted before giving up
-	LastWorker string // worker holding the final expired lease
-}
-
-func (e *QuarantineError) Error() string {
-	if e.LastWorker != "" {
-		return fmt.Sprintf("dramlat: spec %.12s quarantined: %d lease(s) expired without a result (last worker %s)",
-			e.SpecHash, e.Attempts, e.LastWorker)
-	}
-	return fmt.Sprintf("dramlat: spec %.12s quarantined: %d lease(s) expired without a result",
-		e.SpecHash, e.Attempts)
-}
-
 // AccuracyError reports that a sampled (statistically fast-forwarded)
 // run landed outside its configured error bounds against the exact
 // event-engine reference. Metric names the offending aggregate ("ipc",

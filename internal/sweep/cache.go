@@ -41,6 +41,17 @@ func (c *Cache) putLock(hash string) *sync.Mutex {
 	return &c.putLocks[h.Sum32()%uint32(len(c.putLocks))]
 }
 
+// DefaultCacheDir is the cache location dlbench and dlsweep share when
+// -cache is not given: dramlat/sweep under the user cache dir
+// ($XDG_CACHE_HOME or ~/.cache on Linux), else a dot-dir in the working
+// tree.
+func DefaultCacheDir() string {
+	if d, err := os.UserCacheDir(); err == nil {
+		return filepath.Join(d, "dramlat", "sweep")
+	}
+	return ".dramlat-sweep"
+}
+
 // OpenCache creates dir if needed and returns the cache rooted there.
 func OpenCache(dir string) (*Cache, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -96,37 +107,28 @@ func (c *Cache) Get(spec dramlat.RunSpec) (dramlat.Results, bool) {
 }
 
 // Entry returns the stored spec and results for a content hash, with
-// the same verify-and-quarantine semantics as Get. It is the lookup
-// behind "fetch result by spec hash" service endpoints, so the hash is
-// validated strictly (64 lowercase hex chars) before it touches a path.
+// the same verify-and-quarantine semantics as Get. The hash is validated
+// strictly (64 lowercase hex chars) before it touches a path.
 func (c *Cache) Entry(hash string) (dramlat.RunSpec, dramlat.Results, bool) {
-	if c == nil || !ValidHash(hash) {
+	if c == nil || !validHash(hash) {
 		return dramlat.RunSpec{}, dramlat.Results{}, false
 	}
 	path := c.path(hash)
 	b, err := os.ReadFile(path)
 	if err != nil {
-		mCacheMisses.Inc()
 		return dramlat.RunSpec{}, dramlat.Results{}, false
 	}
 	var e entry
-	if err := json.Unmarshal(b, &e); err != nil {
+	if err := json.Unmarshal(b, &e); err != nil || e.Checksum != checksum(e.Spec, e.Results) {
 		c.quarantine(path)
-		mCacheMisses.Inc()
 		return dramlat.RunSpec{}, dramlat.Results{}, false
 	}
-	if e.Checksum != checksum(e.Spec, e.Results) {
-		c.quarantine(path)
-		mCacheMisses.Inc()
-		return dramlat.RunSpec{}, dramlat.Results{}, false
-	}
-	mCacheHits.Inc()
 	return e.Spec, e.Results, true
 }
 
-// ValidHash reports whether s looks like a RunSpec.Hash (hex SHA-256).
-// Service endpoints use it to fence path-building on untrusted hashes.
-func ValidHash(s string) bool {
+// validHash reports whether s looks like a RunSpec.Hash (hex SHA-256),
+// so Entry never builds a path from anything else.
+func validHash(s string) bool {
 	if len(s) != 64 {
 		return false
 	}
@@ -142,7 +144,6 @@ func ValidHash(s string) bool {
 // quarantine moves a bad entry aside (best-effort; removed on rename
 // failure) so it stops shadowing the slot but stays inspectable.
 func (c *Cache) quarantine(path string) {
-	mCacheQuarantined.Inc()
 	if err := os.Rename(path, path+".corrupt"); err != nil {
 		os.Remove(path)
 	}
@@ -187,7 +188,6 @@ func (c *Cache) Put(spec dramlat.RunSpec, res dramlat.Results) error {
 		os.Remove(tmp.Name())
 		return fmt.Errorf("sweep: cache rename: %w", err)
 	}
-	mCachePuts.Inc()
 	return nil
 }
 

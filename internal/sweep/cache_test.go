@@ -82,8 +82,8 @@ func TestCachePutGetConcurrent(t *testing.T) {
 	})
 }
 
-// TestCacheEntryByHash covers the service's fetch-by-hash path,
-// including the strict hash validation that fences path traversal.
+// TestCacheEntryByHash covers the fetch-by-hash lookup, including the
+// strict hash validation that fences path traversal.
 func TestCacheEntryByHash(t *testing.T) {
 	c, err := OpenCache(t.TempDir())
 	if err != nil {

@@ -46,22 +46,14 @@ type Engine struct {
 	// never concurrently.
 	Progress func(Event)
 	// Telemetry, when it enables a subsystem and TelemetryDir is set,
-	// applies to every spec the engine actually executes; each run's
-	// artifacts (events JSONL, interval CSVs) land in TelemetryDir named
-	// by the spec's canonical hash. Cache hits have no live run to trace,
-	// so resumed sweeps only emit artifacts for freshly executed specs.
-	// A spec whose own RunSpec.Telemetry enables a subsystem is captured
-	// even when the engine-level options are off — that is how sweepd
-	// honors per-job telemetry requests. Ignored when a custom Runner is
-	// installed.
+	// applies to every spec the engine actually executes, replacing the
+	// spec's own Telemetry options; each run's artifacts (events JSONL,
+	// interval CSVs) land in TelemetryDir named by the spec's canonical
+	// hash. Cache hits have no live run to trace, so resumed sweeps only
+	// emit artifacts for freshly executed specs. Ignored when a custom
+	// Runner is installed.
 	Telemetry    dramlat.TelemetryOptions
 	TelemetryDir string
-	// Mutate, when non-nil, rewrites each spec immediately before
-	// execution (after the cache lookup), for server-side execution
-	// details like engine selection. It must only touch hash-excluded
-	// fields (Engine, MaxCycles, ...): the cache entry is keyed and stored
-	// from the unmutated spec.
-	Mutate func(*dramlat.RunSpec)
 	// RunTimeout, when positive, gives every executed spec a wall-clock
 	// deadline (spec.Deadline = now + RunTimeout, unless the spec already
 	// carries one). A run that exceeds it aborts with a
@@ -110,15 +102,14 @@ func (e *Engine) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// runnerFor picks the execution path for one spec: a custom Runner wins
-// outright; otherwise the telemetry runner handles any spec that wants
-// artifacts (engine-level options or the spec's own), and plain
-// dramlat.Run covers the rest.
-func (e *Engine) runnerFor(spec dramlat.RunSpec) func(dramlat.RunSpec) (dramlat.Results, error) {
+// runner picks the execution path: a custom Runner wins outright;
+// otherwise the telemetry runner handles every spec when the engine
+// captures artifacts, and plain dramlat.Run covers the rest.
+func (e *Engine) runner() func(dramlat.RunSpec) (dramlat.Results, error) {
 	if e.Runner != nil {
 		return e.Runner
 	}
-	if e.TelemetryDir != "" && (e.Telemetry.Enabled() || spec.Telemetry.Enabled()) {
+	if e.TelemetryDir != "" && e.Telemetry.Enabled() {
 		return e.telemetryRunner
 	}
 	return dramlat.Run
@@ -136,9 +127,6 @@ func (e *Engine) prepare(ctx context.Context, spec dramlat.RunSpec) dramlat.RunS
 	}
 	if e.RunTimeout > 0 && spec.Deadline.IsZero() {
 		spec.Deadline = time.Now().Add(e.RunTimeout)
-	}
-	if e.Mutate != nil {
-		e.Mutate(&spec)
 	}
 	return spec
 }
@@ -219,7 +207,6 @@ func (e *Engine) RunContext(ctx context.Context, specs []dramlat.RunSpec) *Repor
 				cached += n - 1
 			}
 		}
-		observeOutcome(rep.Outcomes[i].Spec, o.Err, o.Cached, o.Elapsed, len(dups))
 		if e.Progress != nil {
 			// Crude ETA: mean executed cost times remaining specs,
 			// divided across the pool. Cached specs skew it low,
@@ -255,7 +242,7 @@ func (e *Engine) RunContext(ctx context.Context, specs []dramlat.RunSpec) *Repor
 					continue
 				}
 				t0 := time.Now()
-				res, err := e.runnerFor(spec)(e.prepare(ctx, spec))
+				res, err := e.runner()(e.prepare(ctx, spec))
 				o := Outcome{Results: res, Err: err, Elapsed: time.Since(t0)}
 				if err == nil {
 					if cerr := e.Cache.Put(spec, res); cerr != nil {
@@ -293,17 +280,15 @@ func (e *Engine) RunOneContext(ctx context.Context, spec dramlat.RunSpec) Outcom
 	}
 	if res, ok := e.Cache.Get(spec); ok {
 		o.Results, o.Cached = res, true
-		observeOutcome(spec, nil, true, 0, 0)
 		return o
 	}
 	t0 := time.Now()
-	res, err := e.runnerFor(spec)(e.prepare(ctx, spec))
+	res, err := e.runner()(e.prepare(ctx, spec))
 	o.Results, o.Err, o.Elapsed = res, err, time.Since(t0)
 	if err == nil {
 		if cerr := e.Cache.Put(spec, res); cerr != nil {
 			o.Err = cerr
 		}
 	}
-	observeOutcome(spec, o.Err, false, o.Elapsed, 0)
 	return o
 }

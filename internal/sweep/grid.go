@@ -156,8 +156,8 @@ func (g Grid) Enumerate() []dramlat.RunSpec {
 // so a sweep fails before any work rather than per-spec. Every problem
 // found in one pass is aggregated into a single *dramlat.ValidationError
 // whose field names are the grid's JSON axis keys (indexed for
-// per-element findings, e.g. "scales[1]"), so a caller — or a service
-// returning the error over HTTP — reports everything at once.
+// per-element findings, e.g. "scales[1]"), so a caller reports
+// everything at once.
 func (g Grid) Validate() error {
 	v := &dramlat.ValidationError{}
 	if len(g.Benchmarks) == 0 && len(g.Extra) == 0 {
@@ -244,8 +244,8 @@ var gridAxes = map[string]bool{
 	"perfect_coalescing": true, "zero_divergence": true, "extra": true,
 }
 
-// ParseGrid decodes a JSON grid description (the cmd/dlsweep -grid file
-// and sweepd submit format) and validates it. Unknown axis keys and
+// ParseGrid decodes a JSON grid description (the cmd/dlsweep -grid
+// file) and validates it. Unknown axis keys and
 // duplicate axis keys — which encoding/json would silently drop or
 // last-wins overwrite — are reported as *dramlat.ValidationError fields
 // alongside everything Validate finds, so a bad grid file is fixed in

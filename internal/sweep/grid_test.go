@@ -40,8 +40,8 @@ outer:
 
 // TestParseGridErrorPaths pins the structured failure vocabulary of
 // ParseGrid: every malformed grid comes back as a *ValidationError
-// naming the offending axis keys, so a service can return them in a
-// machine-readable error body.
+// naming the offending axis keys, so a caller can report every one of
+// them at once.
 func TestParseGridErrorPaths(t *testing.T) {
 	cases := []struct {
 		name   string

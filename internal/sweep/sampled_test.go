@@ -32,8 +32,8 @@ func sampledTinySpecs() []dramlat.RunSpec {
 // index) — never on goroutine scheduling or process-global state — so
 // a sweep must produce byte-identical approximate Results whether one
 // worker runs the specs sequentially or N workers race them. This is
-// the lockstep contract that lets sampled sweeps share the persistent
-// cache across fleet workers.
+// the lockstep contract that lets sampled sweeps with any -workers
+// setting share the persistent cache.
 func TestSampledSweepLockstepAcrossWorkers(t *testing.T) {
 	specs := sampledTinySpecs()
 	one := (&Engine{Workers: 1}).Run(specs)
@@ -53,9 +53,8 @@ func TestSampledSweepLockstepAcrossWorkers(t *testing.T) {
 	}
 }
 
-// Approximate results round-trip the flattened Record and the outcome
-// wire format with their sampling metadata intact, so a sweep report
-// fetched from a dlserve instance keeps the error bars.
+// Approximate results keep their sampling metadata in the flattened
+// Record, so a dlsweep report carries the error bars.
 func TestSampledRecordCarriesErrorBars(t *testing.T) {
 	spec := sampledTinySpecs()[0]
 	o := (&Engine{}).RunOne(spec)

@@ -6,9 +6,11 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"dramlat"
 )
@@ -352,5 +354,43 @@ func TestEngineEndToEndWithRealRuns(t *testing.T) {
 	rep := e.Run([]dramlat.RunSpec{spec})
 	if rep.Cached != 1 || rep.Executed != 0 {
 		t.Fatalf("Run after RunOne: %s", rep.Summary())
+	}
+}
+
+// recordSpec is a spec whose zero-valued knobs survive a JSON round trip
+// unchanged (hash-excluded fields are all zero).
+func recordSpec() dramlat.RunSpec {
+	return dramlat.RunSpec{Benchmark: "bfs", Scheduler: "wg-w", Seed: 3,
+		Scale: 0.25, SMs: 4, WarpsPerSM: 8}
+}
+
+func recordResults() dramlat.Results {
+	return dramlat.Results{Scheduler: "wg-w", Workload: "bfs",
+		Ticks: 1234, Instr: 5678, IPC: 1.5, Drained: true,
+		Utilization: 0.42, RowHitRate: 0.6, L2HitRate: 0.3, L1HitRate: 0.2,
+		GapP50: 10, GapP90: 90, GapP99: 99, WriteFrac: 0.1}
+}
+
+// TestRecordJSONRoundTrip pins the flattened row format dlsweep -o
+// writes: a Record survives a JSON round trip unchanged.
+func TestRecordJSONRoundTrip(t *testing.T) {
+	o := Outcome{Spec: recordSpec(), Hash: recordSpec().Hash(),
+		Results: recordResults(), Elapsed: time.Second}
+	rec := RecordOf(o)
+	b, err := json.Marshal(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back Record
+	if err := json.Unmarshal(b, &back); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(rec, back) {
+		t.Errorf("record round trip:\n orig %+v\n back %+v", rec, back)
+	}
+	// Failures surface in the record's error column.
+	bad := Outcome{Spec: recordSpec(), Err: errors.New("boom")}
+	if r := RecordOf(bad); r.Error != "boom" {
+		t.Errorf("record error column %q", r.Error)
 	}
 }

@@ -9,46 +9,40 @@ import (
 	"dramlat/internal/telemetry"
 )
 
-// telemetryRunner executes one spec with telemetry enabled and writes
-// the artifacts before returning, so a sweep's traces are complete as
-// soon as the Progress event for the spec fires. A spec carrying its
-// own Telemetry options (a per-job sweepd request) keeps them; specs
-// without fall back to the engine-level options.
+// telemetryRunner executes one spec under the engine's Telemetry options
+// and writes the artifacts before returning, so a sweep's traces are
+// complete as soon as the Progress event for the spec fires.
 func (e *Engine) telemetryRunner(spec dramlat.RunSpec) (dramlat.Results, error) {
 	if spec.IsSampled() {
 		// A sampled run's fast-forward regions are modeled, not
 		// simulated: most of the trace simply does not exist, and a
 		// partial artifact indistinguishable from a full one would
 		// poison downstream analysis. Fail the spec with a typed field
-		// error instead (dlsweep/dlserve reject the combination up
-		// front; this guards per-spec telemetry arriving over the wire).
+		// error instead (dlsweep rejects the combination up front; this
+		// guards library callers that build the Engine themselves).
 		return dramlat.Results{}, &dramlat.ValidationError{Fields: []dramlat.FieldError{{
 			Field: "Telemetry", Value: "sampled",
 			Msg: "telemetry capture is not available for sampled runs: fast-forward regions are modeled and have no events to record",
 		}}}
 	}
-	if !spec.Telemetry.Enabled() {
-		spec.Telemetry = e.Telemetry
-	}
+	spec.Telemetry = e.Telemetry
 	res, tel, err := dramlat.RunTelemetry(spec)
 	if tel != nil {
 		// A MaxTicks run still has a (partial) trace worth keeping.
-		if werr := WriteArtifacts(e.TelemetryDir, spec.Hash(), tel); werr != nil && err == nil {
+		if werr := writeArtifacts(e.TelemetryDir, spec.Hash(), tel); werr != nil && err == nil {
 			err = werr
 		}
 	}
 	return res, err
 }
 
-// WriteArtifacts writes one run's telemetry bundle into dir, one file per
+// writeArtifacts writes one run's telemetry bundle into dir, one file per
 // enabled subsystem, named by the run's spec hash:
 //
 //	<hash>.events.jsonl   event trace (tracer enabled)
 //	<hash>.channels.csv   per-channel interval table (sampler enabled)
 //	<hash>.sms.csv        per-SM stall interval table (sampler enabled)
-//
-// Returned paths are the files actually written.
-func WriteArtifacts(dir, hash string, tel *dramlat.Telemetry) error {
+func writeArtifacts(dir, hash string, tel *dramlat.Telemetry) error {
 	if tel == nil {
 		return nil
 	}

@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -87,5 +88,42 @@ func TestSweepTelemetryCustomRunnerWins(t *testing.T) {
 	}
 	if !ran {
 		t.Fatal("custom runner not used")
+	}
+}
+
+// TestSweepTelemetryRejectsSampled pins the engine-side guard: a sampled
+// run's fast-forward regions are modeled, so there is no full trace to
+// capture. The spec fails with a typed Telemetry field error, leaves no
+// (partial) artifact behind and is not cached, so the same spec without
+// telemetry still runs later.
+func TestSweepTelemetryRejectsSampled(t *testing.T) {
+	dir := t.TempDir()
+	cache, err := OpenCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := sampledTinySpecs()[0]
+	eng := &Engine{
+		Workers:      1,
+		Cache:        cache,
+		Telemetry:    dramlat.TelemetryOptions{Events: true},
+		TelemetryDir: dir,
+	}
+	rep := eng.Run([]dramlat.RunSpec{spec})
+	if rep.Failed != 1 || rep.Cached != 0 {
+		t.Fatalf("sampled spec with telemetry: %s, want 1 failed", rep.Summary())
+	}
+	var verr *dramlat.ValidationError
+	if !errors.As(rep.Outcomes[0].Err, &verr) {
+		t.Fatalf("err = %v, want *ValidationError", rep.Outcomes[0].Err)
+	}
+	if len(verr.Fields) != 1 || verr.Fields[0].Field != "Telemetry" {
+		t.Fatalf("fields = %+v, want one Telemetry field", verr.Fields)
+	}
+	if files, err := os.ReadDir(dir); err != nil || len(files) != 0 {
+		t.Fatalf("telemetry dir holds %d files (err %v), want none", len(files), err)
+	}
+	if _, ok := cache.Get(spec); ok || cache.Len() != 0 {
+		t.Fatalf("rejected spec was cached (%d entries)", cache.Len())
 	}
 }

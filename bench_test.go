@@ -256,11 +256,10 @@ func BenchmarkWAFCFS(b *testing.B) {
 }
 
 // benchEngine times one full simulation per iteration under the given
-// engine and reports simulated-ticks/second. The dense/event pair is the
-// speedup measurement behind DESIGN.md's "Simulation engine" section;
-// scripts/bench records the end-to-end and per-layer numbers for the
-// benchmark workloads. Allocation counts are reported so -benchmem
-// tracks the request-freelist and ring-buffer hot paths.
+// engine and reports simulated-ticks/second; scripts/bench records the
+// end-to-end and per-layer numbers for the benchmark workloads.
+// Allocation counts are reported so -benchmem tracks the
+// request-freelist and ring-buffer hot paths.
 func benchEngine(b *testing.B, engine string) {
 	b.ReportAllocs()
 	var ticks int64
@@ -276,11 +275,7 @@ func benchEngine(b *testing.B, engine string) {
 	b.ReportMetric(float64(ticks)/b.Elapsed().Seconds(), "sim-ticks/s")
 }
 
-// BenchmarkRunDense times the reference tick-every-cycle engine.
-func BenchmarkRunDense(b *testing.B) { benchEngine(b, "dense") }
-
-// BenchmarkRunEventDriven times the next-wakeup engine on the same run;
-// the ratio to BenchmarkRunDense is the tick-skipping speedup.
+// BenchmarkRunEventDriven times the event engine.
 func BenchmarkRunEventDriven(b *testing.B) { benchEngine(b, "event") }
 
 // BenchmarkRunSampled times the interval-sampling engine at full scale

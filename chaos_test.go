@@ -23,7 +23,7 @@ func chaosSpec(sched string) RunSpec {
 }
 
 // chaosEngines is every engine the fault-injection suite must cover.
-var chaosEngines = []string{"event", "dense"}
+var chaosEngines = []string{"event"}
 
 // A partition that stops answering (the observable shape of a late
 // NextWakeup contract violation) must trip the liveness watchdog on
@@ -240,8 +240,9 @@ func TestRunSpecValidate(t *testing.T) {
 
 // TestEngineValidation: the engine knob validates without running. Every
 // listed engine and the empty default are accepted; any other name,
-// including the retired "parallel", is an Engine field error. The command
-// log is a Config-level knob that only the exact engines can honor.
+// including the retired "parallel" and "dense", is an Engine field error.
+// The command log is a Config-level knob that only the exact engine can
+// honor.
 func TestEngineValidation(t *testing.T) {
 	spec := RunSpec{Benchmark: "bfs", Scheduler: "wg-w", Scale: 0.05, SMs: 2, WarpsPerSM: 4}
 	for _, engine := range append([]string{""}, gpu.Engines()...) {
@@ -252,7 +253,7 @@ func TestEngineValidation(t *testing.T) {
 		}
 	}
 	var ve *ValidationError
-	for _, engine := range []string{"quantum", "parallel"} {
+	for _, engine := range []string{"quantum", "parallel", "dense"} {
 		bad := spec
 		bad.Engine = engine
 		if err := bad.Validate(); !errors.As(err, &ve) || ve.Fields[0].Field != "Engine" {
@@ -262,10 +263,10 @@ func TestEngineValidation(t *testing.T) {
 
 	cfg := gpu.DefaultConfig()
 	cfg.CmdLog = &strings.Builder{}
-	for _, engine := range []string{gpu.EngineEvent, gpu.EngineDense} {
+	for _, engine := range []string{"", gpu.EngineEvent} {
 		cfg.Engine = engine
 		if err := cfg.Validate(); err != nil {
-			t.Fatalf("%s+CmdLog rejected: %v", engine, err)
+			t.Fatalf("%q+CmdLog rejected: %v", engine, err)
 		}
 	}
 	cfg.Engine = gpu.EngineSampled

@@ -194,7 +194,7 @@ func main() {
 	seed := flag.Int64("seed", 1, "workload seed")
 	seeds := flag.Int("seeds", 1, "average kernel times over this many seeds")
 	workers := flag.Int("workers", 0, "parallel simulations (0 = GOMAXPROCS)")
-	engine := flag.String("engine", "", "simulation engine: event (default), dense (both exact, sharing cache entries) or sampled (approximate paper numbers — error bars are not printed, prefer exact engines here)")
+	engine := flag.String("engine", "", "simulation engine: event (exact, the default) or sampled (approximate paper numbers — error bars are not printed, prefer the exact engine here)")
 	cacheDir := flag.String("cache", sweep.DefaultCacheDir(), "persistent result cache dir (\"none\" disables)")
 	jsonOut := flag.String("json", "", "also write every run as sweep JSON to this file (\"-\" = stdout)")
 	pf := prof.Register()
@@ -286,11 +286,6 @@ func main() {
 			pf.Stop()
 			os.Exit(1)
 		}
-	}
-	if err := pf.WriteBench(s.report().Outcomes); err != nil {
-		fmt.Fprintln(os.Stderr, "dlbench:", err)
-		pf.Stop()
-		os.Exit(1)
 	}
 
 	if s.failed > 0 {

@@ -5,7 +5,7 @@
 //
 //	dlsim -bench bfs -sched wg-w [-scale 0.5] [-sms 30] [-warps 32]
 //	      [-perfect] [-zerodiv] [-alpha 0.5] [-seed 1]
-//	      [-engine event|dense|sampled]
+//	      [-engine event|sampled]
 //	      [-sample-window W] [-sample-ff F] [-sample-warmup U]
 package main
 
@@ -29,7 +29,7 @@ func main() {
 	perfect := flag.Bool("perfect", false, "ideal: perfect coalescing (Fig 4)")
 	zerodiv := flag.Bool("zerodiv", false, "ideal: zero latency divergence (Fig 4)")
 	ablation := flag.String("ablation", "", "warp-aware ablation: count-score|no-orphan|no-credits")
-	engine := flag.String("engine", "", "simulation engine: event (default), dense or sampled (approximate, with error bars)")
+	engine := flag.String("engine", "", "simulation engine: event (exact, the default) or sampled (approximate, with error bars)")
 	sampleWindow := flag.Int64("sample-window", 0, "sampled engine: detailed measurement window cycles (0 = default)")
 	sampleFF := flag.Int64("sample-ff", 0, "sampled engine: fast-forward cycles per region (0 = default)")
 	sampleWarmup := flag.Int64("sample-warmup", 0, "sampled engine: detailed warm-up cycles after each jump (0 = default)")

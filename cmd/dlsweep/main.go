@@ -140,7 +140,7 @@ func main() {
 	ablations := flag.String("ablation", "", "comma list of ablations (count-score,no-orphan,no-credits)")
 	warpscheds := flag.String("warpsched", "", "comma list of SM warp schedulers (gto,lrr)")
 	workers := flag.Int("workers", 0, "parallel simulations (0 = GOMAXPROCS)")
-	engine := flag.String("engine", "", "simulation engine: event (default), dense (both exact, sharing cache entries) or sampled (approximate, with error bars, cached separately)")
+	engine := flag.String("engine", "", "simulation engine: event (exact, the default) or sampled (approximate, with error bars, cached separately)")
 	sampleWindow := flag.Int64("sample-window", 0, "sampled engine: detailed measurement window cycles (0 = default)")
 	sampleFF := flag.Int64("sample-ff", 0, "sampled engine: fast-forward cycles per region (0 = default)")
 	sampleWarmup := flag.Int64("sample-warmup", 0, "sampled engine: detailed warm-up cycles after each jump (0 = default)")
@@ -287,9 +287,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "dlsweep: interrupted — writing partial report (cached results are kept; re-run to resume)")
 	}
 	fmt.Fprintln(os.Stderr, "dlsweep:", rep.Summary())
-	if err := pf.WriteBench(rep.Outcomes); err != nil {
-		fail(err)
-	}
 
 	// Render into a buffer and commit in one step: an interrupt or error
 	// mid-render leaves either the whole artifact or the previous one,

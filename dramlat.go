@@ -75,11 +75,10 @@ type RunSpec struct {
 	// traced and untraced runs share a result-cache entry.
 	Telemetry telemetry.Options `json:"-"`
 
-	// Engine selects the simulation engine: "" / "event" (default),
-	// "dense" (the tick-every-cycle reference loop) or "sampled". The
-	// two exact engines produce byte-identical Results, so the field is
-	// excluded from Canonical and Hash and both share a result-cache
-	// entry; the sampled engine is told apart by its Sampled block.
+	// Engine selects the simulation engine: "" / "event" (the exact
+	// default) or "sampled". The field is excluded from Canonical and
+	// Hash: "" and "event" name the same engine, and the sampled engine
+	// is told apart by its Sampled block.
 	Engine string `json:"-"`
 
 	// Sampled configures the interval-sampling engine (Engine

@@ -1,51 +1,70 @@
-package dramlat
+package dramlat_test
 
 import (
 	"reflect"
 	"testing"
 
+	"dramlat"
 	"dramlat/internal/gpu"
 	"dramlat/internal/telemetry"
 	"dramlat/internal/workload"
 )
 
-// runBoth executes the same spec under both exact engines and returns the two
-// result digests plus telemetry bundles.
-func runBoth(t *testing.T, spec RunSpec) (dense, event Results, dtel, etel *Telemetry) {
+// newSystem assembles cfg's machine running bench at scale, as
+// dramlat.Run would.
+func newSystem(t *testing.T, cfg gpu.Config, bench string, scale float64) *gpu.System {
 	t.Helper()
-	ds := spec
-	ds.Engine = gpu.EngineDense
-	var err error
-	dense, dtel, err = RunTelemetry(ds)
+	b, err := workload.ByName(bench)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := workload.DefaultParams()
+	p.NumSMs = cfg.NumSMs
+	p.WarpsPerSM = cfg.WarpsPerSM
+	p.Scale = scale
+	sys, err := gpu.NewSystem(cfg, b.Build(p))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sys
+}
+
+// runBoth executes the same spec on the dense oracle and on the event
+// engine and returns the two systems (for their telemetry) and results.
+func runBoth(t *testing.T, spec dramlat.RunSpec) (dsys, esys *gpu.System, dense, event gpu.Results) {
+	t.Helper()
+	cfg := dramlat.Config(spec)
+	dsys = newSystem(t, cfg, spec.Benchmark, spec.Scale)
+	esys = newSystem(t, cfg, spec.Benchmark, spec.Scale)
+	dense, err := dsys.RunDense()
 	if err != nil {
 		t.Fatalf("dense run: %v", err)
 	}
-	es := spec
-	es.Engine = gpu.EngineEvent
-	event, etel, err = RunTelemetry(es)
+	event, err = esys.Run()
 	if err != nil {
 		t.Fatalf("event run: %v", err)
 	}
-	return dense, event, dtel, etel
+	return dsys, esys, dense, event
 }
 
 // TestEventDrivenMatchesDense is the differential proof behind the
-// event-driven engine: for every scheduler, with telemetry off and on,
-// the next-wakeup loop must produce Results byte-identical to the dense
-// reference loop. Any mismatch means a component reported a wakeup tick
-// later than its first real state change. The sm120 rows run spmv on a
-// 120-SM scale-up, where most SMs sit idle between responses and the
-// event engine skips the most component ticks.
+// event engine: for every scheduler, with telemetry off and on, the
+// stepper, which ticks only the components whose wakeup has come due,
+// must produce Results byte-identical to the dense oracle, which ticks
+// every component every cycle. Any mismatch means a component reported
+// a wakeup tick later than its first real state change. The sm120 rows
+// run spmv on a 120-SM scale-up, where most SMs sit idle between
+// responses and the stepper skips the most component ticks.
 func TestEventDrivenMatchesDense(t *testing.T) {
 	workloads := []string{"bfs", "streamcluster"}
-	for _, sched := range Schedulers() {
+	for _, sched := range gpu.Schedulers() {
 		for _, wl := range workloads {
-			spec := RunSpec{
+			spec := dramlat.RunSpec{
 				Benchmark: wl, Scheduler: sched,
 				Scale: 0.05, SMs: 6, WarpsPerSM: 8,
 			}
 			t.Run(sched+"/"+wl, func(t *testing.T) {
-				dense, event, _, _ := runBoth(t, spec)
+				_, _, dense, event := runBoth(t, spec)
 				if !reflect.DeepEqual(dense, event) {
 					t.Fatalf("results diverge\ndense: %+v\nevent: %+v", dense, event)
 				}
@@ -58,17 +77,17 @@ func TestEventDrivenMatchesDense(t *testing.T) {
 					sp.Telemetry = telemetry.Options{
 						Events: true, EventCap: eventCap, SampleEvery: 500,
 					}
-					dense, event, dtel, etel := runBoth(t, sp)
-					matchTelemetry(t, eventCap, dense, event, dtel, etel)
+					dsys, esys, dense, event := runBoth(t, sp)
+					matchTelemetry(t, eventCap, dense, event, dsys.Tel, esys.Tel)
 				}
 			})
 		}
-		spec := RunSpec{
+		spec := dramlat.RunSpec{
 			Benchmark: "spmv", Scheduler: sched,
 			Scale: 0.02, SMs: 120, WarpsPerSM: 8,
 		}
 		t.Run(sched+"/spmv/sm120", func(t *testing.T) {
-			dense, event, _, _ := runBoth(t, spec)
+			_, _, dense, event := runBoth(t, spec)
 			if !reflect.DeepEqual(dense, event) {
 				t.Fatalf("results diverge\ndense: %+v\nevent: %+v", dense, event)
 			}
@@ -78,7 +97,7 @@ func TestEventDrivenMatchesDense(t *testing.T) {
 
 // matchTelemetry fails the test unless the two engines' Results, trace
 // events, ring drops and interval samples are identical.
-func matchTelemetry(t *testing.T, eventCap int, dense, event Results, dtel, etel *Telemetry) {
+func matchTelemetry(t *testing.T, eventCap int, dense, event gpu.Results, dtel, etel *telemetry.Telemetry) {
 	t.Helper()
 	if !reflect.DeepEqual(dense, event) {
 		t.Fatalf("cap %d: results diverge\ndense: %+v\nevent: %+v", eventCap, dense, event)
@@ -109,32 +128,16 @@ func matchTelemetry(t *testing.T, eventCap int, dense, event Results, dtel, etel
 func TestEventDrivenMatchesDenseRefresh(t *testing.T) {
 	for _, sched := range []string{"gmc", "frfcfs", "wg-w"} {
 		t.Run(sched, func(t *testing.T) {
-			build := func(engine string) Results {
-				cfg := gpu.DefaultConfig()
-				cfg.NumSMs = 6
-				cfg.WarpsPerSM = 8
-				cfg.Scheduler = sched
-				cfg.EnableRefresh = true
-				cfg.Engine = engine
-				p := workload.DefaultParams()
-				p.NumSMs = cfg.NumSMs
-				p.WarpsPerSM = cfg.WarpsPerSM
-				p.Scale = 0.05
-				b, err := workload.ByName("bfs")
-				if err != nil {
-					t.Fatal(err)
-				}
-				sys, err := gpu.NewSystem(cfg, b.Build(p))
-				if err != nil {
-					t.Fatal(err)
-				}
-				res, err := sys.Run()
-				if err != nil {
-					t.Fatal(err)
-				}
-				return res
+			cfg := dramlat.Config(dramlat.RunSpec{Scheduler: sched, SMs: 6, WarpsPerSM: 8})
+			cfg.EnableRefresh = true
+			dense, err := newSystem(t, cfg, "bfs", 0.05).RunDense()
+			if err != nil {
+				t.Fatal(err)
 			}
-			dense, event := build(gpu.EngineDense), build(gpu.EngineEvent)
+			event, err := newSystem(t, cfg, "bfs", 0.05).Run()
+			if err != nil {
+				t.Fatal(err)
+			}
 			if !reflect.DeepEqual(dense, event) {
 				t.Fatalf("results diverge with refresh\ndense: %+v\nevent: %+v", dense, event)
 			}

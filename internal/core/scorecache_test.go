@@ -8,7 +8,7 @@ import (
 )
 
 // Property: at any point in any random schedule, the incrementally cached
-// group score must equal the brute-force scan. The NoScoreCache knob IS
+// group score must equal the brute-force scan. The noScoreCache knob IS
 // the brute path (it forces refreshScoreCache on every query), so querying
 // the cached value first and the forced recomputation second exposes any
 // missed invalidation: a stale-valid cache answers before the brute pass
@@ -52,9 +52,9 @@ func TestScoreCacheMatchesBruteForce(t *testing.T) {
 				ctl.Tick(now)
 				for _, g := range w.order {
 					cachedScore, cachedHits := w.scoreAndHits(g, now)
-					w.NoScoreCache = true
+					w.noScoreCache = true
 					bruteScore, bruteHits := w.scoreAndHits(g, now)
-					w.NoScoreCache = false
+					w.noScoreCache = false
 					if cachedScore != bruteScore || cachedHits != bruteHits {
 						t.Fatalf("%s seed %d t=%d group %v: cached (%d,%d) != brute (%d,%d)",
 							name, seed, now, g.id, cachedScore, cachedHits, bruteScore, bruteHits)
@@ -72,7 +72,7 @@ func TestScoreCacheLockstep(t *testing.T) {
 	for seed := int64(0); seed < 3; seed++ {
 		rng := rand.New(rand.NewSource(seed + 400))
 		wc, wn := New(WithMERB()), New(WithMERB())
-		wn.NoScoreCache = true
+		wn.noScoreCache = true
 		cc, cn := newCtl(wc), newCtl(wn)
 		var orderC, orderN []uint64
 		cc.OnReadDone = func(r *memreq.Request, _ int64) { orderC = append(orderC, r.ID) }

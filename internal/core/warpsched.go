@@ -144,11 +144,10 @@ type WarpScheduler struct {
 	// NoOrphanControl is an ablation: disable the orphan-control rule of
 	// Section IV-D (row misses may strand 1-2 row hits behind them).
 	NoOrphanControl bool
-	// NoScoreCache disables the incremental warp-group score cache and
+	// noScoreCache disables the incremental warp-group score cache and
 	// recomputes every score from live bank state. The cache is exact, so
-	// this knob only exists for the differential property test and for
-	// benchmarking the cache itself.
-	NoScoreCache bool
+	// only the differential property tests set it.
+	noScoreCache bool
 
 	// Probe receives MERB streak begin/end trace events; nil disables
 	// tracing (one branch per event site).
@@ -406,7 +405,7 @@ func (w *WarpScheduler) scoreAndHits(g *group, now int64) (score, hits int) {
 		}
 		return s, 0
 	}
-	if w.NoScoreCache || !w.scoreCacheValid(g) {
+	if w.noScoreCache || !w.scoreCacheValid(g) {
 		w.refreshScoreCache(g)
 	}
 	max := g.cacheScore

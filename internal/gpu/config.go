@@ -103,12 +103,11 @@ type Config struct {
 	// byte-identical to a build without the hooks.
 	Faults *chaos.Faults
 
-	// Engine selects the simulation engine: "" or EngineEvent
-	// (event-driven next-wakeup, the default), EngineDense (the
-	// tick-every-cycle reference loop) or EngineSampled. The two exact
-	// engines produce byte-identical Results (TestEventDrivenMatchesDense);
-	// the dense loop exists as an escape hatch and as the
-	// differential-testing oracle.
+	// Engine selects the simulation engine: "" or EngineEvent for the
+	// exact engine (the default), EngineSampled for the approximate one.
+	// The event engine's Results are byte-identical to ticking every
+	// component every cycle, which the dense oracle System.RunDense,
+	// called only by tests, checks (TestEventDrivenMatchesDense).
 	Engine string
 
 	// Sampled configures EngineSampled's interval sampling. Unlike
@@ -129,15 +128,11 @@ type Config struct {
 
 // Engine names for Config.Engine.
 const (
-	// EngineEvent is the default event-driven next-wakeup engine.
+	// EngineEvent is the default exact engine: it steps every tick and
+	// ticks only the components whose next wakeup has come due.
 	EngineEvent = "event"
-	// EngineDense is the tick-every-cycle reference loop (the
-	// differential-testing oracle). It also runs DRAM channels without
-	// their wake cache, so the oracle shares no skipping logic with the
-	// event engine.
-	EngineDense = "dense"
 	// EngineSampled is the interval-sampling engine: short full-fidelity
-	// measurement windows on the event-driven core alternate with
+	// measurement windows on the event engine's stepper alternate with
 	// fast-forward regions advanced by statistical models calibrated
 	// from the preceding window. Results are approximate — validated
 	// distributionally against the event engine, never byte-identical
@@ -147,7 +142,7 @@ const (
 
 // Engines lists the selectable engine names.
 func Engines() []string {
-	return []string{EngineEvent, EngineDense, EngineSampled}
+	return []string{EngineEvent, EngineSampled}
 }
 
 // SampledConfig parameterizes the interval-sampling engine. All cycle
@@ -374,7 +369,7 @@ func (c Config) Validate() error {
 		v.Addf("MaxTicks", c.MaxTicks, "must be positive")
 	}
 	switch c.Engine {
-	case "", EngineEvent, EngineDense:
+	case "", EngineEvent:
 	case EngineSampled:
 		if c.CmdLog != nil {
 			// A sampled command log would have holes spanning every
@@ -391,7 +386,7 @@ func (c Config) Validate() error {
 			v.Addf("Sampled.WarmupCycles", c.Sampled.WarmupCycles, "must be non-negative (0 = default)")
 		}
 	default:
-		v.Addf("Engine", c.Engine, "unknown engine (want event, dense or sampled)")
+		v.Addf("Engine", c.Engine, "unknown engine (want event or sampled)")
 	}
 	return v.Err()
 }

@@ -1,13 +1,8 @@
 package gpu
 
 import (
-	"fmt"
-	"os"
-
 	"dramlat/internal/core"
 	"dramlat/internal/dram"
-	"dramlat/internal/guard"
-	"dramlat/internal/guard/chaos"
 	"dramlat/internal/memctrl"
 	"dramlat/internal/stats"
 	"dramlat/internal/telemetry"
@@ -15,9 +10,10 @@ import (
 
 // The sampled engine (Cfg.Engine == EngineSampled) trades exactness
 // for wall-clock: it alternates short full-fidelity measurement
-// windows — run on the event-driven core — with fast-forward regions
-// where warp progress and memory behavior advance by statistical
-// models calibrated from the window just measured. Each region is
+// windows — run on the event engine's stepper — with fast-forward
+// regions where warp progress and memory behavior advance by
+// statistical models calibrated from the window just measured. Each
+// region is
 //
 //	measure (W detailed cycles)   calibrate per-SM issue rates, the
 //	                              warp-group latency/divergence sample
@@ -52,178 +48,6 @@ func scaleCount(x int64, f float64) int64 {
 		return 0
 	}
 	return int64(float64(x)*f + 0.5)
-}
-
-// sampledState is the event-core stepping state shared by every
-// detailed phase of a sampled run — the same smWake/pWake bookkeeping
-// runEvent keeps, factored so the phases can stop and resume it.
-type sampledState struct {
-	s       *System
-	smWake  []int64
-	smLast  []int64
-	smDone  []bool
-	pWake   []int64
-	smBase  int64
-	prtBase int64
-	now     int64
-	live    int
-
-	doneTick int64
-	stall    *guard.StallError
-	wd       *watchdog
-	f        *chaos.Faults
-
-	nextSample int64
-	lastSample int64
-}
-
-const sampledBigTick = int64(1) << 62
-
-func newSampledState(s *System) *sampledState {
-	e := &sampledState{
-		s:          s,
-		smWake:     make([]int64, len(s.sms)),
-		smLast:     make([]int64, len(s.sms)),
-		smDone:     make([]bool, len(s.sms)),
-		pWake:      make([]int64, len(s.parts)),
-		doneTick:   -1,
-		wd:         s.newWatchdog(),
-		f:          s.Cfg.Faults,
-		nextSample: -1,
-		lastSample: -1,
-	}
-	if s.Tel != nil && s.Tel.Sampler != nil {
-		e.nextSample = s.Tel.Sampler.Every
-	}
-	for i, c := range s.sms {
-		e.smLast[i] = -1
-		if c.Done() {
-			e.smDone[i] = true
-		} else {
-			e.live++
-		}
-	}
-	return e
-}
-
-// stepUntil advances the event core from e.now to limit (exclusive),
-// stopping early when the last warp retires, the watchdog trips, or —
-// with stopQuiescent — the whole system reaches quiescence. The body
-// is the runEvent loop; see its invariants.
-func (e *sampledState) stepUntil(limit int64, stopQuiescent bool) {
-	s := e.s
-	if limit > s.Cfg.MaxTicks {
-		limit = s.Cfg.MaxTicks
-	}
-	for e.now < limit && e.live > 0 && e.stall == nil {
-		now := e.now
-		s.now = now
-		e.f.CheckPanic(now)
-		s.Engine.VisitedTicks++
-		if now >= e.smBase || now >= s.x.MinRespWake() {
-			e.smBase = sampledBigTick
-			for i, c := range s.sms {
-				eff := e.smWake[i]
-				if rw := s.x.RespWake(i); rw < eff {
-					eff = rw
-				}
-				if eff <= now && !e.f.Asleep(chaos.TargetSM, i, now) {
-					if gap := now - 1 - e.smLast[i]; gap > 0 {
-						c.CatchUp(gap)
-					}
-					s.Engine.SMTicks++
-					c.Tick(now, s.x.PopResponse(i, now))
-					e.smLast[i] = now
-					e.smWake[i] = c.NextWakeup(now)
-					if !e.smDone[i] && c.Done() {
-						e.smDone[i] = true
-						e.live--
-					}
-				}
-				if e.smWake[i] < e.smBase {
-					e.smBase = e.smWake[i]
-				}
-			}
-		}
-		if now >= e.prtBase || now >= s.x.MinReqWake() {
-			for ch, p := range s.parts {
-				eff := e.pWake[ch]
-				if rw := s.x.ReqWake(ch); rw < eff {
-					eff = rw
-				}
-				if s.net != nil {
-					if nd := s.net.NextDue(ch); nd < eff {
-						eff = nd
-					}
-				}
-				if eff > now {
-					continue
-				}
-				if e.f.Asleep(chaos.TargetPartition, ch, now) {
-					continue
-				}
-				s.Engine.PartTicks++
-				p.Tick(now)
-				e.pWake[ch] = p.NextWakeup(now)
-			}
-			e.prtBase = sampledBigTick
-			for ch := range s.parts {
-				b := e.pWake[ch]
-				if s.net != nil {
-					if nd := s.net.NextDue(ch); nd < b {
-						b = nd
-					}
-				}
-				if b < e.prtBase {
-					e.prtBase = b
-				}
-			}
-		}
-		if now == e.nextSample {
-			s.catchUpSMs(now, e.smLast)
-			s.sample(now)
-			e.lastSample = now
-			e.nextSample = now + s.Tel.Sampler.Every
-		}
-		if e.live == 0 {
-			e.doneTick = now
-			return
-		}
-		if stopQuiescent && s.quiescent() {
-			// Leave e.now at the tick after the one that drained the
-			// last request: quiescence was observed post-Tick.
-			e.now = now + 1
-			return
-		}
-		if now >= e.wd.next {
-			if e.stall = e.wd.check(now); e.stall != nil {
-				return
-			}
-		}
-		next := limit
-		if e.smBase < next {
-			next = e.smBase
-		}
-		if rw := s.x.MinRespWake(); rw < next {
-			next = rw
-		}
-		if e.prtBase < next {
-			next = e.prtBase
-		}
-		if rw := s.x.MinReqWake(); rw < next {
-			next = rw
-		}
-		if e.nextSample >= 0 && e.nextSample < next {
-			next = e.nextSample
-		}
-		if e.wd.next < next {
-			next = e.wd.next
-		}
-		if next <= now {
-			next = now + 1
-		}
-		e.now = next
-	}
 }
 
 // quiescent reports whether no memory state is in flight anywhere:
@@ -370,10 +194,6 @@ func (s *System) calibrate(sn calSnap, winLen int64) calibration {
 	c.winP50 = stats.PercentileOf(gaps, 50)
 	c.winP90 = stats.PercentileOf(gaps, 90)
 	c.winP99 = stats.PercentileOf(gaps, 99)
-	if os.Getenv("DRAMLAT_SAMPLED_DEBUG") != "" {
-		fmt.Printf("  [cal] win=%d instr=%d ipc=%.3f recs=%d p50=%.0f p90=%.0f p99=%.0f\n",
-			winLen, instr, c.winIPC, len(c.recs), c.winP50, c.winP90, c.winP99)
-	}
 	return c
 }
 
@@ -432,7 +252,7 @@ func subWS(a, b core.Stats) core.Stats {
 // chaos injection biasing the model for AccuracyError tests. Returns
 // the estimated completion tick if every warp retired mid-jump, else
 // -1.
-func (e *sampledState) fastForward(cal calibration, H, F, drainStart int64, rng *stats.Stream, drift float64) int64 {
+func (e *stepper) fastForward(cal calibration, H, F, drainStart int64, rng *stats.Stream, drift float64) int64 {
 	s := e.s
 	f := float64(H) / float64(cal.winLen)
 	ffStart := e.now
@@ -572,7 +392,7 @@ func (e *sampledState) fastForward(cal calibration, H, F, drainStart int64, rng 
 	for ch := range s.parts {
 		e.pWake[ch] = end
 	}
-	e.smBase, e.prtBase = end, end
+	e.smBase, e.partBase = end, end
 	if e.nextSample >= 0 && e.nextSample <= end {
 		e.nextSample = end + s.Tel.Sampler.Every
 	}
@@ -588,7 +408,7 @@ func (e *sampledState) fastForward(cal calibration, H, F, drainStart int64, rng 
 // freeze gates or releases every SM's issue stage and forces the
 // stepping loop to re-ask each live SM for a wakeup under the new
 // regime.
-func (e *sampledState) freeze(v bool) {
+func (e *stepper) freeze(v bool) {
 	for i, c := range e.s.sms {
 		c.SetFrozen(v)
 		if !e.smDone[i] {
@@ -599,7 +419,7 @@ func (e *sampledState) freeze(v bool) {
 }
 
 // emitWindow records a sampled-engine phase boundary in the trace.
-func (e *sampledState) emitWindow(phase, region int) {
+func (e *stepper) emitWindow(phase, region int) {
 	if t := e.s.Tel; t != nil && t.Tracer != nil {
 		t.Tracer.Window(e.now, phase, region)
 	}
@@ -610,7 +430,7 @@ func (e *sampledState) emitWindow(phase, region int) {
 func (s *System) runSampled() (Results, error) {
 	prm := s.Cfg.Sampled.WithDefaults()
 	drift := s.Cfg.Faults.DriftFactor()
-	e := newSampledState(s)
+	e := s.newStepper()
 	var winIPC, winP50, winP90, winP99 []float64
 	var detailed, modeled int64
 	windows := 0
@@ -697,18 +517,7 @@ func (s *System) runSampled() (Results, error) {
 		detailed += e.now - wuStart
 	}
 
-	if e.stall != nil {
-		s.catchUpSMs(s.now, e.smLast)
-	} else if e.doneTick < 0 && e.now >= s.Cfg.MaxTicks {
-		s.now = s.Cfg.MaxTicks
-		s.catchUpSMs(s.Cfg.MaxTicks-1, e.smLast)
-	} else if e.doneTick >= 0 {
-		s.now = e.doneTick
-	}
-	if s.Tel != nil {
-		s.flushTelemetry(e.lastSample)
-	}
-	res := s.results(e.doneTick)
+	res, err := e.finish()
 	res.Approximate = true
 	_, ipcErr := stats.MeanCI95(winIPC)
 	_, p50Err := stats.MeanCI95(winP50)
@@ -723,12 +532,5 @@ func (s *System) runSampled() (Results, error) {
 		GapP90Err:     p90Err,
 		GapP99Err:     p99Err,
 	}
-	stall := e.stall
-	if e.doneTick < 0 && stall == nil {
-		stall = s.stallError(guard.StallCycleBudget, s.now, s.Cfg.MaxTicks)
-	}
-	if stall != nil {
-		return res, stall
-	}
-	return res, nil
+	return res, err
 }

@@ -110,18 +110,18 @@ type System struct {
 	pool memreq.Pool
 
 	// Engine holds per-run engine counters (visit/skip rates). They are
-	// deliberately NOT part of Results: the engines batch work
-	// differently, and Results must stay byte-identical between them.
+	// deliberately NOT part of Results: they record how much work the
+	// stepper skipped, which must never change Results.
 	Engine EngineStats
 
 	now int64
 }
 
 // EngineStats counts the work the simulation engine actually performed.
-// VisitedTicks is the number of distinct ticks the main loop executed
-// (equal to Ticks+1 for the dense engine); SMTicks and PartTicks count
-// component-tick executions. The dense/event ratio of these is the
-// tick-skipping win; scripts/bench reports them per workload.
+// VisitedTicks is the number of ticks the stepper executed (the sampled
+// engine's modeled regions are not stepped); SMTicks and PartTicks count
+// component-tick executions, so their ratio to VisitedTicks is the
+// component-skipping win. scripts/bench reports them per workload.
 type EngineStats struct {
 	VisitedTicks int64
 	SMTicks      int64
@@ -160,9 +160,7 @@ func NewSystem(cfg Config, w Workload) (*System, error) {
 	}
 	for ch := 0; ch < cfg.NumChannels; ch++ {
 		channel := dram.NewChannel(cfg.Timing, cfg.NumBanks, cfg.BankGroups, cfg.CmdQueueCap)
-		// The dense reference engine keeps the uncached Tick as the
-		// differential-testing oracle.
-		channel.WakeCache = cfg.Engine != EngineDense
+		channel.WakeCache = true
 		if cfg.EnableRefresh {
 			channel.SetRefresh(cfg.RefreshTicks, cfg.TRFCTicks)
 		}
@@ -287,173 +285,134 @@ func (s *System) buildScheduler(ch int) (memctrl.Scheduler, *core.WarpScheduler)
 // The watchdog only reads state, so completed runs remain
 // byte-identical to a watchdog-free build.
 //
-// The default engine is event-driven: it visits a component only at
-// ticks where its state can change and jumps time to the next wakeup
-// when nothing is runnable, producing results byte-identical to the
-// dense reference loop (EngineDense; see DESIGN.md "Simulation engine"
-// and TestEventDrivenMatchesDense). Cfg.Engine selects the dense
-// reference loop or the sampled engine explicitly.
+// The default engine steps every tick but visits a component only at
+// ticks where its state can change, producing results byte-identical
+// to ticking every component every cycle (see DESIGN.md "Simulation
+// engine" and TestEventDrivenMatchesDense). Cfg.Engine selects the
+// sampled engine, which drives the same stepper between its modeled
+// regions.
 func (s *System) Run() (Results, error) {
-	switch s.Cfg.Engine {
-	case EngineSampled:
+	if s.Cfg.Engine == EngineSampled {
 		return s.runSampled()
-	case EngineDense:
-		return s.runDense()
-	default:
-		return s.runEvent()
 	}
+	e := s.newStepper()
+	e.stepUntil(s.Cfg.MaxTicks, false)
+	return e.finish()
 }
 
 // Now reports the current simulation cycle (for panic-recovery context).
 func (s *System) Now() int64 { return s.now }
 
-// runDense is the reference engine: every component ticks every cycle.
-func (s *System) runDense() (Results, error) {
-	doneTick := int64(-1)
+// stepper is the one tick loop. It advances time one tick at a time
+// and, at each tick, ticks exactly the components whose wakeup bound
+// has come due, in fixed component order. Invariant: a component-tick
+// is skipped only when the wakeup contracts prove that ticking it would
+// be a no-op (modulo the SM idle counters, which CatchUp batches), so
+// by induction over ticks the state matches a loop that ticks every
+// component every cycle. The sampled engine stops and resumes the
+// stepper between its phases.
+type stepper struct {
+	s      *System
+	smWake []int64 // zero: every SM is runnable at tick 0
+	smLast []int64 // last tick the SM actually ticked
+	smDone []bool
+	pWake  []int64
+	// smBase is the exact min over smWake (SM-internal wakeups);
+	// partBase the exact min over pWake and coordination-message dues.
+	// Crossbar traffic is covered by the xbar's own maintained minima,
+	// so deciding whether any component needs this tick is a handful of
+	// compares — the per-component scans run only when their trigger
+	// fires.
+	smBase   int64
+	partBase int64
+	now      int64
+	live     int
+
+	doneTick int64
+	stall    *guard.StallError
+	wd       *watchdog
+	f        *chaos.Faults
+
 	// nextSample keeps the per-tick telemetry cost to one compare when
 	// sampling is off (it never matches).
-	nextSample := int64(-1)
-	lastSample := int64(-1)
-	if s.Tel != nil && s.Tel.Sampler != nil {
-		nextSample = s.Tel.Sampler.Every
-	}
-	smDone := make([]bool, len(s.sms))
-	live := 0
-	for i, c := range s.sms {
-		if c.Done() {
-			smDone[i] = true
-		} else {
-			live++
-		}
-	}
-	wd := s.newWatchdog()
-	f := s.Cfg.Faults
-	var stall *guard.StallError
-	for s.now = 0; s.now < s.Cfg.MaxTicks; s.now++ {
-		now := s.now
-		f.CheckPanic(now)
-		s.Engine.VisitedTicks++
-		s.Engine.SMTicks += int64(len(s.sms))
-		s.Engine.PartTicks += int64(len(s.parts))
-		for i, c := range s.sms {
-			if f.Asleep(chaos.TargetSM, i, now) {
-				continue
-			}
-			c.Tick(now, s.x.PopResponse(i, now))
-			if !smDone[i] && c.Done() {
-				smDone[i] = true
-				live--
-			}
-		}
-		for ch, p := range s.parts {
-			if f.Asleep(chaos.TargetPartition, ch, now) {
-				continue
-			}
-			p.Tick(now)
-		}
-		if now == nextSample {
-			s.sample(now)
-			lastSample = now
-			nextSample = now + s.Tel.Sampler.Every
-		}
-		if live == 0 {
-			doneTick = now
-			break
-		}
-		if now >= wd.next {
-			if stall = wd.check(now); stall != nil {
-				break
-			}
-		}
-	}
-	if s.Tel != nil {
-		s.flushTelemetry(lastSample)
-	}
-	res := s.results(doneTick)
-	if doneTick < 0 && stall == nil {
-		stall = s.stallError(guard.StallCycleBudget, s.now, s.Cfg.MaxTicks)
-	}
-	if stall != nil {
-		return res, stall
-	}
-	return res, nil
+	nextSample int64
+	lastSample int64
 }
 
-// runEvent is the next-wakeup engine. Invariant: at every visited tick
-// it executes exactly the dense per-tick code, in dense component order,
-// for every component whose tick would not be a no-op; a component-tick
-// is skipped only when the wakeup contracts prove it would be a dense
-// no-op (modulo the SM idle counters, which CatchUp batches). By
-// induction over visited ticks the two engines produce byte-identical
-// state, hence byte-identical Results and telemetry.
-func (s *System) runEvent() (Results, error) {
-	doneTick := int64(-1)
-	nextSample := int64(-1)
-	lastSample := int64(-1)
-	if s.Tel != nil && s.Tel.Sampler != nil {
-		nextSample = s.Tel.Sampler.Every
+const bigTick = int64(1) << 62
+
+func (s *System) newStepper() *stepper {
+	e := &stepper{
+		s:          s,
+		smWake:     make([]int64, len(s.sms)),
+		smLast:     make([]int64, len(s.sms)),
+		smDone:     make([]bool, len(s.sms)),
+		pWake:      make([]int64, len(s.parts)),
+		doneTick:   -1,
+		wd:         s.newWatchdog(),
+		f:          s.Cfg.Faults,
+		nextSample: -1,
+		lastSample: -1,
 	}
-	nSM := len(s.sms)
-	smWake := make([]int64, nSM) // zero: every SM is runnable at tick 0
-	smLast := make([]int64, nSM) // last tick the SM actually ticked
-	smDone := make([]bool, nSM)
-	pWake := make([]int64, len(s.parts))
-	live := 0
+	if s.Tel != nil && s.Tel.Sampler != nil {
+		e.nextSample = s.Tel.Sampler.Every
+	}
 	for i, c := range s.sms {
-		smLast[i] = -1
+		e.smLast[i] = -1
 		if c.Done() {
-			smDone[i] = true
+			e.smDone[i] = true
 		} else {
-			live++
+			e.live++
 		}
 	}
-	// smBase is the exact min over smWake (SM-internal wakeups); partBase
-	// the exact min over pWake and coordination-message dues. Crossbar
-	// traffic is covered by the xbar's own maintained minima, so deciding
-	// whether any component needs this tick is a handful of compares —
-	// the per-component scans run only when their trigger fires.
-	const bigTick = int64(1) << 62
-	smBase, partBase := int64(0), int64(0)
-	now := int64(0)
-	wd := s.newWatchdog()
-	f := s.Cfg.Faults
-	var stall *guard.StallError
-	for now < s.Cfg.MaxTicks {
+	return e
+}
+
+// stepUntil advances the system from e.now to limit (exclusive),
+// stopping early when the last warp retires, the watchdog trips, or —
+// with stopQuiescent — the whole system reaches quiescence.
+func (e *stepper) stepUntil(limit int64, stopQuiescent bool) {
+	s := e.s
+	if limit > s.Cfg.MaxTicks {
+		limit = s.Cfg.MaxTicks
+	}
+	for ; e.now < limit && e.doneTick < 0 && e.stall == nil; e.now++ {
+		now := e.now
 		s.now = now
-		f.CheckPanic(now)
+		e.f.CheckPanic(now)
 		s.Engine.VisitedTicks++
-		if now >= smBase || now >= s.x.MinRespWake() {
-			smBase = bigTick
+		if now >= e.smBase || now >= s.x.MinRespWake() {
+			e.smBase = bigTick
 			for i, c := range s.sms {
-				eff := smWake[i]
+				eff := e.smWake[i]
 				if rw := s.x.RespWake(i); rw < eff {
 					eff = rw
 				}
 				// A comatose component models a late NextWakeup answer:
 				// its due tick passes unserved. Leaving smWake stale
-				// (<= now) keeps the loop stepping densely so the
-				// watchdog, not a hang, reports it.
-				if eff <= now && !f.Asleep(chaos.TargetSM, i, now) {
-					if gap := now - 1 - smLast[i]; gap > 0 {
+				// (<= now) keeps it due every tick so the watchdog, not
+				// a hang, reports it.
+				if eff <= now && !e.f.Asleep(chaos.TargetSM, i, now) {
+					if gap := now - 1 - e.smLast[i]; gap > 0 {
 						c.CatchUp(gap)
 					}
 					s.Engine.SMTicks++
 					c.Tick(now, s.x.PopResponse(i, now))
-					smLast[i] = now
-					smWake[i] = c.NextWakeup(now)
-					if !smDone[i] && c.Done() {
-						smDone[i] = true
-						live--
+					e.smLast[i] = now
+					e.smWake[i] = c.NextWakeup(now)
+					if !e.smDone[i] && c.Done() {
+						e.smDone[i] = true
+						e.live--
 					}
 				}
-				if smWake[i] < smBase {
-					smBase = smWake[i]
+				if e.smWake[i] < e.smBase {
+					e.smBase = e.smWake[i]
 				}
 			}
 		}
-		if now >= partBase || now >= s.x.MinReqWake() {
+		if now >= e.partBase || now >= s.x.MinReqWake() {
 			for ch, p := range s.parts {
-				eff := pWake[ch]
+				eff := e.pWake[ch]
 				if rw := s.x.ReqWake(ch); rw < eff {
 					eff = rw
 				}
@@ -462,96 +421,82 @@ func (s *System) runEvent() (Results, error) {
 						eff = nd
 					}
 				}
-				if eff > now {
-					continue
-				}
-				if f.Asleep(chaos.TargetPartition, ch, now) {
+				if eff > now || e.f.Asleep(chaos.TargetPartition, ch, now) {
 					continue
 				}
 				s.Engine.PartTicks++
 				p.Tick(now)
-				pWake[ch] = p.NextWakeup(now)
+				e.pWake[ch] = p.NextWakeup(now)
 			}
 			// Recompute partBase in a second pass: a partition ticked late
 			// in the loop may have broadcast a coordination message due at
 			// an earlier-indexed partition.
-			partBase = bigTick
+			e.partBase = bigTick
 			for ch := range s.parts {
-				b := pWake[ch]
+				b := e.pWake[ch]
 				if s.net != nil {
 					if nd := s.net.NextDue(ch); nd < b {
 						b = nd
 					}
 				}
-				if b < partBase {
-					partBase = b
+				if b < e.partBase {
+					e.partBase = b
 				}
 			}
 		}
-		if now == nextSample {
+		if now == e.nextSample {
 			// Idle accounting must be current through this tick before
 			// the sampler snapshots the SM counters.
-			s.catchUpSMs(now, smLast)
+			s.catchUpSMs(now, e.smLast)
 			s.sample(now)
-			lastSample = now
-			nextSample = now + s.Tel.Sampler.Every
+			e.lastSample = now
+			e.nextSample = now + s.Tel.Sampler.Every
 		}
-		if live == 0 {
-			doneTick = now
-			break
+		if e.live == 0 {
+			e.doneTick = now
+			return
 		}
-		if now >= wd.next {
-			if stall = wd.check(now); stall != nil {
-				break
+		if stopQuiescent && s.quiescent() {
+			// Leave e.now at the tick after the one that drained the
+			// last request: quiescence was observed post-Tick.
+			e.now = now + 1
+			return
+		}
+		if now >= e.wd.next {
+			if e.stall = e.wd.check(now); e.stall != nil {
+				return
 			}
 		}
-		// Jump to the earliest wakeup, clamped to the next sample tick
-		// and the next watchdog check.
-		next := s.Cfg.MaxTicks
-		if smBase < next {
-			next = smBase
-		}
-		if rw := s.x.MinRespWake(); rw < next {
-			next = rw
-		}
-		if partBase < next {
-			next = partBase
-		}
-		if rw := s.x.MinReqWake(); rw < next {
-			next = rw
-		}
-		if nextSample >= 0 && nextSample < next {
-			next = nextSample
-		}
-		if wd.next < next {
-			next = wd.next
-		}
-		if next <= now {
-			next = now + 1 // a stale-early bound forces dense stepping
-		}
-		now = next
 	}
-	if stall != nil {
+}
+
+// finish is the end-of-run tail: it brings the SM idle counters
+// current, flushes telemetry and assembles Results, with the
+// StallError of an aborted run or a *guard.StallError of kind
+// StallCycleBudget when MaxTicks ran out.
+func (e *stepper) finish() (Results, error) {
+	s := e.s
+	if e.stall != nil {
 		// Aborted mid-run: bring idle accounting current through the
 		// abort tick so partial Results read dense-identical counters.
-		s.catchUpSMs(s.now, smLast)
-	} else if doneTick < 0 {
-		// MaxTicks exhausted: the dense loop ticked (and idle-counted)
-		// every SM through MaxTicks-1.
+		s.catchUpSMs(s.now, e.smLast)
+	} else if e.doneTick < 0 && e.now >= s.Cfg.MaxTicks {
+		// MaxTicks exhausted: a dense loop would have ticked (and
+		// idle-counted) every SM through MaxTicks-1.
 		s.now = s.Cfg.MaxTicks
-		s.catchUpSMs(s.Cfg.MaxTicks-1, smLast)
-	} else {
-		s.now = doneTick
+		s.catchUpSMs(s.Cfg.MaxTicks-1, e.smLast)
+	} else if e.doneTick >= 0 {
+		s.now = e.doneTick
 	}
 	if s.Tel != nil {
-		s.flushTelemetry(lastSample)
+		s.flushTelemetry(e.lastSample)
 	}
-	res := s.results(doneTick)
-	if doneTick < 0 && stall == nil {
-		stall = s.stallError(guard.StallCycleBudget, s.now, s.Cfg.MaxTicks)
+	res := s.results(e.doneTick)
+	if e.stall != nil {
+		return res, e.stall
 	}
-	if stall != nil {
-		return res, stall
+	if e.doneTick < 0 {
+		return res, s.stallError(guard.StallCycleBudget, s.now, s.Cfg.MaxTicks)
 	}
 	return res, nil
 }

@@ -1,38 +1,32 @@
-// Package prof adds the standard pprof escape hatches to the CLI tools:
-// -cpuprofile / -memprofile flags plus a machine-readable per-run timing
-// export (-benchjson), so hot-path regressions in the simulation core can
-// be diagnosed straight from a sweep invocation.
+// Package prof adds the standard pprof escape hatches to the CLI tools,
+// -cpuprofile and -memprofile, so hot-path regressions in the simulation
+// core can be diagnosed straight from a sweep invocation.
 package prof
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"runtime"
 	"runtime/pprof"
 	"sync"
-
-	"dramlat/internal/sweep"
 )
 
 // Flags holds the profiling flag values registered by Register.
 type Flags struct {
-	cpu  string
-	mem  string
-	json string
+	cpu string
+	mem string
 
 	cpuFile *os.File
 	once    sync.Once
 }
 
-// Register installs -cpuprofile, -memprofile and -benchjson on the
-// default flag set. Call before flag.Parse.
+// Register installs -cpuprofile and -memprofile on the default flag
+// set. Call before flag.Parse.
 func Register() *Flags {
 	f := &Flags{}
 	flag.StringVar(&f.cpu, "cpuprofile", "", "write a CPU profile to this file")
 	flag.StringVar(&f.mem, "memprofile", "", "write a heap profile to this file on exit")
-	flag.StringVar(&f.json, "benchjson", "", "write per-run wall-clock timings as JSON to this file (\"-\" = stdout)")
 	return f
 }
 
@@ -75,48 +69,4 @@ func (f *Flags) Stop() {
 		}
 		file.Close()
 	})
-}
-
-// BenchEntry is one executed run in the -benchjson export. Cached and
-// failed outcomes are omitted: their Elapsed is not a simulation time.
-type BenchEntry struct {
-	Benchmark   string  `json:"benchmark"`
-	Scheduler   string  `json:"scheduler"`
-	Seed        int64   `json:"seed"`
-	Ticks       int64   `json:"ticks"`
-	WallNS      int64   `json:"wall_ns"`
-	TicksPerSec float64 `json:"ticks_per_sec"`
-}
-
-// WriteBench exports per-run wall-clock timings for the executed
-// outcomes. No-op when -benchjson was not given.
-func (f *Flags) WriteBench(outcomes []sweep.Outcome) error {
-	if f.json == "" {
-		return nil
-	}
-	entries := []BenchEntry{}
-	for _, o := range outcomes {
-		if o.Cached || o.Err != nil || o.Elapsed <= 0 {
-			continue
-		}
-		sp := o.Spec.Canonical()
-		e := BenchEntry{
-			Benchmark: sp.Benchmark, Scheduler: sp.Scheduler, Seed: sp.Seed,
-			Ticks: o.Results.Ticks, WallNS: o.Elapsed.Nanoseconds(),
-		}
-		e.TicksPerSec = float64(e.Ticks) / (float64(e.WallNS) / 1e9)
-		entries = append(entries, e)
-	}
-	w := os.Stdout
-	if f.json != "-" {
-		file, err := os.Create(f.json)
-		if err != nil {
-			return err
-		}
-		defer file.Close()
-		w = file
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(entries)
 }

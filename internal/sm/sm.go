@@ -560,8 +560,8 @@ func (s *SM) issue(now int64) {
 // Both policies walk the packed live-unblocked index (liveM), so done or
 // blocked warps cost nothing — a failed scan touches only the flat
 // readyAt/memNextM state of warps that could actually run. The scan
-// semantics are pinned against the retained pre-SoA reference
-// implementation (pickWarpRef) by TestPickWarpMatchesReference.
+// semantics are pinned against the pre-SoA reference scan in
+// pickref_test.go by TestPickWarpMatchesReference.
 func (s *SM) pickWarp(now int64) int {
 	// A failed scan has examined every live unblocked warp, so it records
 	// the min readyAt for NextWakeup on the way (the greedy pre-check may

@@ -46,7 +46,6 @@ func TestHashExcludedKnobsAreResultNeutral(t *testing.T) {
 		mut  func(*RunSpec)
 	}{
 		{"engine-event", func(s *RunSpec) { s.Engine = "event" }},
-		{"engine-dense", func(s *RunSpec) { s.Engine = "dense" }},
 		{"max-cycles-sufficient", func(s *RunSpec) { s.MaxCycles = 100_000_000 }},
 		{"stall-cycles", func(s *RunSpec) { s.StallCycles = 5_000_000 }},
 		{"telemetry", func(s *RunSpec) { s.Telemetry = TelemetryOptions{Events: true, EventCap: 64} }},
@@ -151,7 +150,7 @@ func TestSampledRunDeterministic(t *testing.T) {
 
 // Exact engines must never report approximate results.
 func TestExactEnginesAreNotApproximate(t *testing.T) {
-	for _, engine := range []string{"", "dense"} {
+	for _, engine := range []string{"", "event"} {
 		spec := exactTinySpec()
 		spec.Engine = engine
 		res, err := Run(spec)

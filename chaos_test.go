@@ -241,8 +241,6 @@ func TestRunSpecValidate(t *testing.T) {
 // TestEngineValidation: the engine knob validates without running. Every
 // listed engine and the empty default are accepted; any other name,
 // including the retired "parallel" and "dense", is an Engine field error.
-// The command log is a Config-level knob that only the exact engine can
-// honor.
 func TestEngineValidation(t *testing.T) {
 	spec := RunSpec{Benchmark: "bfs", Scheduler: "wg-w", Scale: 0.05, SMs: 2, WarpsPerSM: 4}
 	for _, engine := range append([]string{""}, gpu.Engines()...) {
@@ -259,18 +257,5 @@ func TestEngineValidation(t *testing.T) {
 		if err := bad.Validate(); !errors.As(err, &ve) || ve.Fields[0].Field != "Engine" {
 			t.Fatalf("engine %q not reported as an Engine field error: %v", engine, err)
 		}
-	}
-
-	cfg := gpu.DefaultConfig()
-	cfg.CmdLog = &strings.Builder{}
-	for _, engine := range []string{"", gpu.EngineEvent} {
-		cfg.Engine = engine
-		if err := cfg.Validate(); err != nil {
-			t.Fatalf("%q+CmdLog rejected: %v", engine, err)
-		}
-	}
-	cfg.Engine = gpu.EngineSampled
-	if err := cfg.Validate(); !errors.As(err, &ve) {
-		t.Fatalf("sampled+CmdLog accepted: %v", err)
 	}
 }

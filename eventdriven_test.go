@@ -124,12 +124,16 @@ func matchTelemetry(t *testing.T, eventCap int, dense, event gpu.Results, dtel, 
 
 // TestEventDrivenMatchesDenseRefresh exercises the refresh path, which the
 // public RunSpec does not expose: the channel's wakeup must account for the
-// tREFI arming tick even while otherwise idle.
+// tREFI arming tick even while otherwise idle. tREFI is shortened so each
+// run spans several refresh intervals; at the default 5,850 ticks these
+// runs would end before the first one.
 func TestEventDrivenMatchesDenseRefresh(t *testing.T) {
+	const intervals = 3
 	for _, sched := range []string{"gmc", "frfcfs", "wg-w"} {
 		t.Run(sched, func(t *testing.T) {
 			cfg := dramlat.Config(dramlat.RunSpec{Scheduler: sched, SMs: 6, WarpsPerSM: 8})
 			cfg.EnableRefresh = true
+			cfg.RefreshTicks = 300
 			dense, err := newSystem(t, cfg, "bfs", 0.05).RunDense()
 			if err != nil {
 				t.Fatal(err)
@@ -140,6 +144,10 @@ func TestEventDrivenMatchesDenseRefresh(t *testing.T) {
 			}
 			if !reflect.DeepEqual(dense, event) {
 				t.Fatalf("results diverge with refresh\ndense: %+v\nevent: %+v", dense, event)
+			}
+			if event.Ticks < intervals*cfg.RefreshTicks || event.DRAM.Refreshes < intervals*int64(cfg.NumChannels) {
+				t.Fatalf("run ends at tick %d after %d refreshes, short of %d intervals of %d ticks on %d channels",
+					event.Ticks, event.DRAM.Refreshes, intervals, cfg.RefreshTicks, cfg.NumChannels)
 			}
 		})
 	}

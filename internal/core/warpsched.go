@@ -20,7 +20,6 @@ import (
 	"math/bits"
 
 	"dramlat/internal/coordnet"
-	"dramlat/internal/gddr5"
 	"dramlat/internal/memctrl"
 	"dramlat/internal/memreq"
 	"dramlat/internal/telemetry"
@@ -822,9 +821,3 @@ var (
 	_ memctrl.Scheduler     = (*WarpScheduler)(nil)
 	_ memctrl.DrainObserver = (*WarpScheduler)(nil)
 )
-
-// MERBTableForDocs re-exports the Table I computation for the façade and
-// tools without importing gddr5 everywhere.
-func MERBTableForDocs(maxBanks int) []int {
-	return gddr5.Default().MERBTable(maxBanks)
-}

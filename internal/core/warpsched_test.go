@@ -483,16 +483,6 @@ func TestConservationAllVariants(t *testing.T) {
 	}
 }
 
-func TestMERBTableForDocs(t *testing.T) {
-	tab := MERBTableForDocs(6)
-	want := []int{31, 20, 10, 7, 5, 5}
-	for i := range want {
-		if tab[i] != want[i] {
-			t.Fatalf("tab = %v", tab)
-		}
-	}
-}
-
 // Ablation: CountScore ranks a 1-request miss group over a 3-request
 // all-hit group, unlike the bank-aware score.
 func TestCountScoreAblation(t *testing.T) {

@@ -5,7 +5,6 @@
 package gpu
 
 import (
-	"io"
 	"time"
 
 	"dramlat/internal/gddr5"
@@ -115,10 +114,6 @@ type Config struct {
 	// which regions run detailed vs modeled), so the façade includes
 	// them in the content hash.
 	Sampled SampledConfig
-
-	// CmdLog, when non-nil, receives one line per issued DRAM command
-	// ("tick chN TYPE bank row") for debugging and external analysis.
-	CmdLog io.Writer
 
 	// Telemetry configures the event tracer and interval sampler. The
 	// zero value disables both; disabled telemetry costs one nil-check
@@ -371,11 +366,6 @@ func (c Config) Validate() error {
 	switch c.Engine {
 	case "", EngineEvent:
 	case EngineSampled:
-		if c.CmdLog != nil {
-			// A sampled command log would have holes spanning every
-			// modeled region; reject instead of emitting a partial log.
-			v.Addf("CmdLog", "non-nil", "command logging requires an exact engine (fast-forward regions issue no commands)")
-		}
 		if c.Sampled.WindowCycles < 0 {
 			v.Addf("Sampled.WindowCycles", c.Sampled.WindowCycles, "must be non-negative (0 = default)")
 		}

@@ -1,9 +1,6 @@
 package gpu
 
 import (
-	"fmt"
-	"io"
-
 	"dramlat/internal/addrmap"
 	"dramlat/internal/cache"
 	"dramlat/internal/core"
@@ -56,7 +53,6 @@ type partition struct {
 	l2Lat     int64
 	nextID    func() uint64
 	noCredits bool               // ablation: drop group-complete credits
-	cmdLog    io.Writer          // optional DRAM command trace
 	probe     *telemetry.Tracer  // nil disables event tracing
 	tsamp     *telemetry.Sampler // nil disables interval sampling
 
@@ -206,9 +202,6 @@ func (p *partition) Tick(now int64) {
 	cmd := p.ctl.Tick(now)
 	if cmd != nil {
 		p.didWork = true
-	}
-	if cmd != nil && p.cmdLog != nil {
-		fmt.Fprintf(p.cmdLog, "%d ch%d %s b%d r%d\n", now, p.id, cmd.Type, cmd.Bank, cmd.Row)
 	}
 	if cmd != nil && p.probe != nil {
 		p.emitCommand(cmd, now)

@@ -1,6 +1,8 @@
 package gpu
 
 import (
+	"sort"
+
 	"dramlat/internal/core"
 	"dramlat/internal/dram"
 	"dramlat/internal/memctrl"
@@ -191,6 +193,7 @@ func (s *System) calibrate(sn calSnap, winLen int64) calibration {
 			gaps = append(gaps, float64(g.LastDRAMDone-g.FirstDRAMDone))
 		}
 	}
+	sort.Float64s(gaps)
 	c.winP50 = stats.PercentileOf(gaps, 50)
 	c.winP90 = stats.PercentileOf(gaps, 90)
 	c.winP99 = stats.PercentileOf(gaps, 99)

@@ -185,7 +185,6 @@ func NewSystem(cfg Config, w Workload) (*System, error) {
 			mapper:  s.Mapper, mshrCap: cfg.L2MSHRs, l2Lat: cfg.L2Lat,
 			nextID:    creatorID(uint64(cfg.NumSMs + ch)),
 			noCredits: cfg.Ablation == "no-credits",
-			cmdLog:    cfg.CmdLog,
 			probe:     tracer,
 			tsamp:     sampler,
 		}
@@ -564,9 +563,10 @@ func (s *System) results(doneTick int64) Results {
 		r.IPC = float64(r.Instr) / float64(r.Ticks)
 	}
 	r.Summary = s.Col.Summarize()
-	r.GapP50 = s.Col.Percentile(50)
-	r.GapP90 = s.Col.Percentile(90)
-	r.GapP99 = s.Col.Percentile(99)
+	gaps := s.Col.Gaps()
+	r.GapP50 = stats.PercentileOf(gaps, 50)
+	r.GapP90 = stats.PercentileOf(gaps, 90)
+	r.GapP99 = stats.PercentileOf(gaps, 99)
 
 	var l1h, l1m, l2h, l2m int64
 	var idle, act int64
@@ -582,6 +582,7 @@ func (s *System) results(doneTick int64) Results {
 	var busy int64
 	for _, p := range s.parts {
 		st := p.ctl.Chan.Stats
+		r.DRAM.Refreshes += st.Refreshes
 		r.DRAM.ACTs += st.ACTs
 		r.DRAM.PREs += st.PREs
 		r.DRAM.RDBursts += st.RDBursts

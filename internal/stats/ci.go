@@ -2,7 +2,6 @@ package stats
 
 import (
 	"math"
-	"sort"
 
 	"dramlat/internal/guard"
 )
@@ -104,29 +103,4 @@ func MeanCI95(xs []float64) (mean, half float64) {
 	}
 	sd := math.Sqrt(ss / float64(n-1))
 	return mean, 1.96 * sd / math.Sqrt(float64(n))
-}
-
-// PercentileOf returns the p-th percentile (0..100) of xs with the
-// same linear interpolation Collector.Percentile uses, so per-window
-// gap percentiles and whole-run percentiles are directly comparable.
-// It sorts a copy; xs is not modified. Empty input returns 0.
-func PercentileOf(xs []float64, p float64) float64 {
-	n := len(xs)
-	if n == 0 {
-		return 0
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	if p <= 0 {
-		return s[0]
-	}
-	if p >= 100 {
-		return s[n-1]
-	}
-	rank := p / 100 * float64(n-1)
-	lo := int(rank)
-	if lo+1 >= n {
-		return s[n-1]
-	}
-	return s[lo] + (rank-float64(lo))*(s[lo+1]-s[lo])
 }

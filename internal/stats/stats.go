@@ -215,34 +215,44 @@ type Summary struct {
 	MemGroups int64
 }
 
-// Percentile returns the p-th percentile (0..100) of the DRAM divergence
-// gaps over multi-request groups, linearly interpolated between the two
-// closest ranks (so e.g. p50 of {10, 20} is 15, not 10 as the old
-// truncating index computed).
-func (c *Collector) Percentile(p float64) float64 {
+// Gaps returns the DRAM divergence gaps of the finished groups with >= 2
+// DRAM-serviced requests, sorted ascending.
+func (c *Collector) Gaps() []float64 {
 	var gaps []float64
 	for _, g := range c.done {
 		if g.DRAMDone >= 2 {
 			gaps = append(gaps, float64(g.LastDRAMDone-g.FirstDRAMDone))
 		}
 	}
-	n := len(gaps)
+	sort.Float64s(gaps)
+	return gaps
+}
+
+// Percentile returns the p-th percentile (0..100) of Gaps.
+func (c *Collector) Percentile(p float64) float64 { return PercentileOf(c.Gaps(), p) }
+
+// PercentileOf returns the p-th percentile (0..100) of a sorted sample,
+// linearly interpolated between the two closest ranks (so e.g. p50 of
+// {10, 20} is 15). p is clamped to [0, 100]; an empty sample gives 0.
+// Whole-run, per-window and trace-derived gap percentiles all use it, so
+// they are directly comparable.
+func PercentileOf(sorted []float64, p float64) float64 {
+	n := len(sorted)
 	if n == 0 {
 		return 0
 	}
-	sort.Float64s(gaps)
 	if p <= 0 {
-		return gaps[0]
+		return sorted[0]
 	}
 	if p >= 100 {
-		return gaps[n-1]
+		return sorted[n-1]
 	}
 	rank := p / 100 * float64(n-1)
 	lo := int(rank)
 	if lo+1 >= n {
-		return gaps[n-1]
+		return sorted[n-1]
 	}
-	return gaps[lo] + (rank-float64(lo))*(gaps[lo+1]-gaps[lo])
+	return sorted[lo] + (rank-float64(lo))*(sorted[lo+1]-sorted[lo])
 }
 
 // Summarize computes the digest.

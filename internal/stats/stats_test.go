@@ -200,6 +200,20 @@ func TestPercentile(t *testing.T) {
 	}
 }
 
+func TestPercentileOf(t *testing.T) {
+	sorted := []float64{10, 20, 30, 40, 50, 60, 70, 80, 90, 100}
+	for _, tc := range []struct{ p, want float64 }{
+		{0, 10}, {50, 55}, {99, 99.1}, {100, 100}, {-1, 10}, {200, 100},
+	} {
+		if got := PercentileOf(sorted, tc.p); got < tc.want-1e-9 || got > tc.want+1e-9 {
+			t.Fatalf("p%v = %v, want %v", tc.p, got, tc.want)
+		}
+	}
+	if PercentileOf(nil, 50) != 0 {
+		t.Fatal("empty percentile not 0")
+	}
+}
+
 // TestPercentileSingleGroup covers the n=1 degenerate distribution: every
 // percentile is the lone gap.
 func TestPercentileSingleGroup(t *testing.T) {

@@ -141,10 +141,6 @@ func TestSweepPreCancelled(t *testing.T) {
 	if rep.Failed != len(specs) {
 		t.Fatalf("failed=%d, want %d", rep.Failed, len(specs))
 	}
-	o := (&Engine{Runner: runner}).RunOneContext(ctx, specs[0])
-	if o.Err == nil || ran.Load() != 0 {
-		t.Fatal("RunOneContext ignored the cancelled context")
-	}
 }
 
 // RunTimeout turns a wedged simulation into a deadline StallError

@@ -263,32 +263,3 @@ func (e *Engine) RunContext(ctx context.Context, specs []dramlat.RunSpec) *Repor
 	rep.Elapsed = time.Since(start)
 	return rep
 }
-
-// RunOne executes a single spec through the cache, for callers that
-// interleave ad-hoc runs with grid sweeps (e.g. cmd/dlbench table code).
-func (e *Engine) RunOne(spec dramlat.RunSpec) Outcome {
-	return e.RunOneContext(context.Background(), spec)
-}
-
-// RunOneContext is RunOne under a context, with the same cancellation
-// and timeout semantics as RunContext.
-func (e *Engine) RunOneContext(ctx context.Context, spec dramlat.RunSpec) Outcome {
-	o := Outcome{Spec: spec, Hash: spec.Hash()}
-	if err := ctx.Err(); err != nil {
-		o.Err = err
-		return o
-	}
-	if res, ok := e.Cache.Get(spec); ok {
-		o.Results, o.Cached = res, true
-		return o
-	}
-	t0 := time.Now()
-	res, err := e.runner()(e.prepare(ctx, spec))
-	o.Results, o.Err, o.Elapsed = res, err, time.Since(t0)
-	if err == nil {
-		if cerr := e.Cache.Put(spec, res); cerr != nil {
-			o.Err = cerr
-		}
-	}
-	return o
-}

@@ -57,7 +57,7 @@ func TestSampledSweepLockstepAcrossWorkers(t *testing.T) {
 // Record, so a dlsweep report carries the error bars.
 func TestSampledRecordCarriesErrorBars(t *testing.T) {
 	spec := sampledTinySpecs()[0]
-	o := (&Engine{}).RunOne(spec)
+	o := (&Engine{}).Run([]dramlat.RunSpec{spec}).Outcomes[0]
 	if o.Err != nil {
 		t.Fatal(o.Err)
 	}

@@ -338,22 +338,21 @@ func TestExportJSONAndCSV(t *testing.T) {
 }
 
 // TestEngineEndToEndWithRealRuns exercises the default runner through the
-// cache on a real (tiny) simulation, including RunOne.
+// cache on a real (tiny) simulation: a second sweep of the same spec is a
+// faithful cache hit.
 func TestEngineEndToEndWithRealRuns(t *testing.T) {
 	c, _ := OpenCache(t.TempDir())
 	e := &Engine{Workers: 2, Cache: c}
-	spec := dramlat.RunSpec{Benchmark: "sad", Scheduler: "gmc", Scale: 0.05, SMs: 2, WarpsPerSM: 4}
-	o1 := e.RunOne(spec)
-	if o1.Err != nil || o1.Cached || o1.Results.Ticks == 0 {
-		t.Fatalf("first RunOne %+v err %v", o1, o1.Err)
+	specs := []dramlat.RunSpec{{Benchmark: "sad", Scheduler: "gmc", Scale: 0.05, SMs: 2, WarpsPerSM: 4}}
+	r1 := e.Run(specs)
+	o1 := r1.Outcomes[0]
+	if o1.Err != nil || r1.Executed != 1 || o1.Results.Ticks == 0 {
+		t.Fatalf("first Run %+v err %v", o1, o1.Err)
 	}
-	o2 := e.RunOne(spec)
-	if o2.Err != nil || !o2.Cached || o2.Results != o1.Results {
-		t.Fatalf("second RunOne not a faithful cache hit: %+v", o2)
-	}
-	rep := e.Run([]dramlat.RunSpec{spec})
-	if rep.Cached != 1 || rep.Executed != 0 {
-		t.Fatalf("Run after RunOne: %s", rep.Summary())
+	r2 := e.Run(specs)
+	o2 := r2.Outcomes[0]
+	if o2.Err != nil || !o2.Cached || r2.Cached != 1 || r2.Executed != 0 || o2.Results != o1.Results {
+		t.Fatalf("second Run not a faithful cache hit: %s, %+v", r2.Summary(), o2)
 	}
 }
 

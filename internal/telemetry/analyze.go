@@ -2,10 +2,10 @@ package telemetry
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"dramlat/internal/memreq"
+	"dramlat/internal/stats"
 )
 
 // ReqTrace is the reconstructed life of one DRAM read request.
@@ -229,29 +229,7 @@ func (a *Analysis) GapHistogram() []HistBin {
 // GapPercentile returns the p-th percentile (0..100, linearly
 // interpolated between ranks) of the divergence-gap distribution.
 func (a *Analysis) GapPercentile(p float64) float64 {
-	return PercentileOf(a.Gaps(), p)
-}
-
-// PercentileOf computes the p-th percentile of a sorted sample with
-// linear interpolation between closest ranks (the same definition as
-// stats.Collector.Percentile).
-func PercentileOf(sorted []float64, p float64) float64 {
-	n := len(sorted)
-	if n == 0 {
-		return 0
-	}
-	if p <= 0 {
-		return sorted[0]
-	}
-	if p >= 100 {
-		return sorted[n-1]
-	}
-	rank := p / 100 * float64(n-1)
-	lo := int(math.Floor(rank))
-	if lo+1 >= n {
-		return sorted[n-1]
-	}
-	return sorted[lo] + (rank-float64(lo))*(sorted[lo+1]-sorted[lo])
+	return stats.PercentileOf(a.Gaps(), p)
 }
 
 // Summary returns a one-line digest of the analysis for logs.

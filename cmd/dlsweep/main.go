@@ -55,41 +55,22 @@ func splitList(s string) []string {
 	return out
 }
 
-func parseInts(s string) ([]int, error) {
-	var out []int
+// parseList parses a comma list with parse; kind names the element type
+// in the error for a bad element.
+func parseList[T any](s, kind string, parse func(string) (T, error)) ([]T, error) {
+	var out []T
 	for _, p := range splitList(s) {
-		v, err := strconv.Atoi(p)
+		v, err := parse(p)
 		if err != nil {
-			return nil, fmt.Errorf("bad int %q", p)
+			return nil, fmt.Errorf("bad %s %q", kind, p)
 		}
 		out = append(out, v)
 	}
 	return out, nil
 }
 
-func parseInt64s(s string) ([]int64, error) {
-	var out []int64
-	for _, p := range splitList(s) {
-		v, err := strconv.ParseInt(p, 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad int %q", p)
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
-
-func parseFloats(s string) ([]float64, error) {
-	var out []float64
-	for _, p := range splitList(s) {
-		v, err := strconv.ParseFloat(p, 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad float %q", p)
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
+func parseInt64(s string) (int64, error)     { return strconv.ParseInt(s, 10, 64) }
+func parseFloat64(s string) (float64, error) { return strconv.ParseFloat(s, 64) }
 
 // expandBenches resolves the -bench shorthands.
 func expandBenches(names []string) []string {
@@ -180,25 +161,25 @@ func main() {
 		var err error
 		g.Benchmarks = expandBenches(splitList(*bench))
 		g.Schedulers = expandScheds(splitList(*sched))
-		if g.Seeds, err = parseInt64s(*seeds); err != nil {
+		if g.Seeds, err = parseList(*seeds, "int", parseInt64); err != nil {
 			fail(err)
 		}
-		if g.Scales, err = parseFloats(*scales); err != nil {
+		if g.Scales, err = parseList(*scales, "float", parseFloat64); err != nil {
 			fail(err)
 		}
-		if g.SMs, err = parseInts(*sms); err != nil {
+		if g.SMs, err = parseList(*sms, "int", strconv.Atoi); err != nil {
 			fail(err)
 		}
-		if g.WarpsPerSM, err = parseInts(*warps); err != nil {
+		if g.WarpsPerSM, err = parseList(*warps, "int", strconv.Atoi); err != nil {
 			fail(err)
 		}
-		if g.ReadQs, err = parseInts(*readqs); err != nil {
+		if g.ReadQs, err = parseList(*readqs, "int", strconv.Atoi); err != nil {
 			fail(err)
 		}
-		if g.CmdQCaps, err = parseInts(*cmdqs); err != nil {
+		if g.CmdQCaps, err = parseList(*cmdqs, "int", strconv.Atoi); err != nil {
 			fail(err)
 		}
-		if g.Alphas, err = parseFloats(*alphas); err != nil {
+		if g.Alphas, err = parseList(*alphas, "float", parseFloat64); err != nil {
 			fail(err)
 		}
 		g.Ablations = splitList(*ablations)
@@ -260,10 +241,9 @@ func main() {
 		if !*traceEvents && *sampleEvery <= 0 {
 			fail(fmt.Errorf("-trace-dir needs -trace-events and/or -sample-every"))
 		}
-		eng.TelemetryDir = *traceDir
-		eng.Telemetry = dramlat.TelemetryOptions{
+		eng.Runner = sweep.TraceRunner(*traceDir, dramlat.TelemetryOptions{
 			Events: *traceEvents, EventCap: *traceCap, SampleEvery: *sampleEvery,
-		}
+		})
 	}
 	for i := range specs {
 		specs[i].Engine = *engine

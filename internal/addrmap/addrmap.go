@@ -108,10 +108,3 @@ func (m *Mapper) Encode(c Coord) uint64 {
 	key := cblk*uint64(m.Channels) + uint64(c.Channel)
 	return invChannelKey(key)<<8 | atom<<6
 }
-
-// DecodeInto fills the DRAM coordinate fields of a request-like receiver.
-// It exists so callers outside the hot path do not need to import Coord.
-func (m *Mapper) DecodeInto(addr uint64, ch, bank, row, col *int) {
-	c := m.Decode(addr)
-	*ch, *bank, *row, *col = c.Channel, c.Bank, c.Row, c.Col
-}

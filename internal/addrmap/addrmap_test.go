@@ -174,16 +174,6 @@ func TestBankCampingDefeated(t *testing.T) {
 	}
 }
 
-func TestDecodeInto(t *testing.T) {
-	m := New(6, 16)
-	var ch, bank, row, col int
-	m.DecodeInto(0x123456780, &ch, &bank, &row, &col)
-	want := m.Decode(0x123456780)
-	if ch != want.Channel || bank != want.Bank || row != want.Row || col != want.Col {
-		t.Fatalf("DecodeInto mismatch: got (%d,%d,%d,%d) want %+v", ch, bank, row, col, want)
-	}
-}
-
 // Different channel counts must still round-trip (the mapper is generic).
 func TestOtherGeometries(t *testing.T) {
 	for _, chs := range []int{1, 2, 4, 8} {

@@ -172,18 +172,6 @@ func (c *Cache) Invalidate(addr uint64) (wasDirty, wasPresent bool) {
 	return false, false
 }
 
-// MarkDirty sets the dirty bit of a resident line (write hit).
-func (c *Cache) MarkDirty(addr uint64) bool {
-	set, tag := c.set(addr)
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
-			set[i].dirty = true
-			return true
-		}
-	}
-	return false
-}
-
 // HitRate returns hits/(hits+misses).
 func (c *Cache) HitRate() float64 {
 	t := c.Hits + c.Misses

@@ -81,21 +81,6 @@ func TestFillResidentMergesDirty(t *testing.T) {
 	}
 }
 
-func TestMarkDirty(t *testing.T) {
-	c := New(cfg())
-	if c.MarkDirty(0x3000) {
-		t.Fatal("marked non-resident line")
-	}
-	c.Fill(0x3000, false)
-	if !c.MarkDirty(0x3000) {
-		t.Fatal("failed to mark resident line")
-	}
-	d, _ := c.Invalidate(0x3000)
-	if !d {
-		t.Fatal("line not dirty after MarkDirty")
-	}
-}
-
 func TestMSHRLifecycle(t *testing.T) {
 	c := New(cfg())
 	if c.MSHRFor(0x100) != nil {

@@ -55,8 +55,6 @@ type partition struct {
 	noCredits bool               // ablation: drop group-complete credits
 	probe     *telemetry.Tracer  // nil disables event tracing
 	tsamp     *telemetry.Sampler // nil disables interval sampling
-
-	L2Hits, L2Misses, L2Merges int64
 }
 
 func (p *partition) onReadDone(r *memreq.Request, now int64) {
@@ -124,7 +122,6 @@ func (p *partition) process(r *memreq.Request, now int64) bool {
 	}
 	// Read.
 	if p.l2.Lookup(r.Addr) {
-		p.L2Hits++
 		if r.LastInChannel && !p.noCredits {
 			p.ctl.GroupComplete(r.Group, now)
 		}
@@ -132,7 +129,6 @@ func (p *partition) process(r *memreq.Request, now int64) bool {
 		return true
 	}
 	if m := p.l2.MSHRFor(r.Addr); m != nil {
-		p.L2Merges++
 		m.Waiters = append(m.Waiters, r)
 		if m.Owner != r.Group {
 			// Another warp now waits on the owner group's line: the
@@ -153,7 +149,6 @@ func (p *partition) process(r *memreq.Request, now int64) bool {
 	}
 	m := p.l2.MSHRAlloc(r.Addr)
 	m.Owner = r.Group
-	p.L2Misses++
 	if p.col != nil {
 		p.col.OnMCArrive(r.Group, p.id)
 	}

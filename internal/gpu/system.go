@@ -210,7 +210,6 @@ func NewSystem(cfg Config, w Workload) (*System, error) {
 			Pool:              &s.pool,
 			Collector:         s.Col,
 			Probe:             tracer,
-			ClassifyStalls:    sampler != nil,
 		}
 		smID := id
 		smCfg.Inject = func(r *memreq.Request, now int64) bool {

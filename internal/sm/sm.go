@@ -104,10 +104,6 @@ type Config struct {
 	// Probe receives warp-load issue/unblock trace events; nil disables
 	// tracing at the cost of one branch per event site.
 	Probe *telemetry.Tracer
-	// ClassifyStalls splits IdleTicks into the IdleMem/IdleLSU breakdown
-	// for the interval sampler. Off by default: the classification scans
-	// warp state on idle cycles, which the no-telemetry path must not pay.
-	ClassifyStalls bool
 }
 
 // SM is one SIMT core.
@@ -179,9 +175,9 @@ type SM struct {
 	// of Section III-A that multithreading fails to hide.
 	IdleTicks   int64
 	ActiveTicks int64
-	// IdleMemTicks / IdleLSUTicks break IdleTicks down by cause when
-	// Config.ClassifyStalls is set: all live warps blocked on memory vs
-	// the LSU replay queue backing up. The remainder is compute latency.
+	// IdleMemTicks / IdleLSUTicks break IdleTicks down by cause: all
+	// live warps blocked on memory vs the LSU replay queue backing up.
+	// The remainder is compute latency.
 	IdleMemTicks int64
 	IdleLSUTicks int64
 	L1           *cache.Cache // exported for stats
@@ -416,12 +412,10 @@ func (s *SM) CatchUp(k int64) {
 		return
 	}
 	s.IdleTicks += k
-	if s.cfg.ClassifyStalls {
-		for i, b := range s.blockedM {
-			if b&^s.doneM[i] != 0 {
-				s.IdleMemTicks += k
-				return
-			}
+	for i, b := range s.blockedM {
+		if b&^s.doneM[i] != 0 {
+			s.IdleMemTicks += k
+			return
 		}
 	}
 }
@@ -507,9 +501,7 @@ func (s *SM) issue(now int64) {
 		s.issuedLast = false
 		if s.active > 0 {
 			s.IdleTicks++
-			if s.cfg.ClassifyStalls {
-				s.classifyStall()
-			}
+			s.classifyStall()
 		}
 		return
 	}
@@ -518,9 +510,7 @@ func (s *SM) issue(now int64) {
 	if wi < 0 {
 		if s.active > 0 {
 			s.IdleTicks++
-			if s.cfg.ClassifyStalls {
-				s.classifyStall()
-			}
+			s.classifyStall()
 		}
 		return
 	}

@@ -228,9 +228,6 @@ func (c *Collector) Gaps() []float64 {
 	return gaps
 }
 
-// Percentile returns the p-th percentile (0..100) of Gaps.
-func (c *Collector) Percentile(p float64) float64 { return PercentileOf(c.Gaps(), p) }
-
 // PercentileOf returns the p-th percentile (0..100) of a sorted sample,
 // linearly interpolated between the two closest ranks (so e.g. p50 of
 // {10, 20} is 15). p is clamped to [0, 100]; an empty sample gives 0.

@@ -165,16 +165,16 @@ func TestChannelSetWide(t *testing.T) {
 	}
 }
 
-// TestPercentile pins the linear-interpolation definition on gaps 10..100:
-// rank = p/100*(n-1), interpolated between the two closest order
-// statistics.
+// TestPercentile pins the collector's gap percentiles on gaps 10..100:
+// Gaps must return the finished groups' gaps sorted (groups finish here in
+// descending gap order), and PercentileOf interpolates between ranks.
 func TestPercentile(t *testing.T) {
 	c := NewCollector()
-	for i := 1; i <= 10; i++ {
+	for i := 10; i >= 1; i-- {
 		g := gid(uint32(i))
 		c.OnLoadIssue(g, 0, 2, 2)
 		c.OnDRAMDone(g, 100)
-		c.OnDRAMDone(g, 100+int64(i)*10) // gaps 10..100
+		c.OnDRAMDone(g, 100+int64(i)*10) // gaps 100..10
 		c.OnResp(g, 200)
 		c.OnResp(g, 300)
 	}
@@ -191,19 +191,29 @@ func TestPercentile(t *testing.T) {
 		{100, 100}, // p100 = max
 		{150, 100}, // clamped above
 	} {
-		if got := c.Percentile(tc.p); got < tc.want-1e-9 || got > tc.want+1e-9 {
+		if got := PercentileOf(c.Gaps(), tc.p); got < tc.want-1e-9 || got > tc.want+1e-9 {
 			t.Fatalf("p%v = %v, want %v", tc.p, got, tc.want)
 		}
 	}
-	if NewCollector().Percentile(50) != 0 {
+	if PercentileOf(NewCollector().Gaps(), 50) != 0 {
 		t.Fatal("empty percentile not 0")
 	}
 }
 
+// TestPercentileOf pins the linear-interpolation definition on 10..100:
+// rank = p/100*(n-1), interpolated between the two closest order
+// statistics, with p clamped to [0, 100].
 func TestPercentileOf(t *testing.T) {
 	sorted := []float64{10, 20, 30, 40, 50, 60, 70, 80, 90, 100}
 	for _, tc := range []struct{ p, want float64 }{
-		{0, 10}, {50, 55}, {99, 99.1}, {100, 100}, {-1, 10}, {200, 100},
+		{-1, 10},   // clamped below
+		{0, 10},    // p0 = min
+		{25, 32.5}, // rank 2.25 between 30 and 40
+		{50, 55},   // rank 4.5 between 50 and 60
+		{90, 91},   // rank 8.1 between 90 and 100
+		{99, 99.1}, // rank 8.91 between 90 and 100
+		{100, 100}, // p100 = max
+		{200, 100}, // clamped above
 	} {
 		if got := PercentileOf(sorted, tc.p); got < tc.want-1e-9 || got > tc.want+1e-9 {
 			t.Fatalf("p%v = %v, want %v", tc.p, got, tc.want)
@@ -224,7 +234,7 @@ func TestPercentileSingleGroup(t *testing.T) {
 	c.OnResp(gid(1), 150)
 	c.OnResp(gid(1), 160)
 	for _, p := range []float64{0, 50, 99, 100} {
-		if got := c.Percentile(p); got != 40 {
+		if got := PercentileOf(c.Gaps(), p); got != 40 {
 			t.Fatalf("p%v = %v, want 40", p, got)
 		}
 	}

@@ -102,43 +102,20 @@ func (c *Cache) path(hash string) string {
 // <path>.corrupt for post-mortem — and reported as a miss, so the sweep
 // transparently re-runs and re-caches the spec.
 func (c *Cache) Get(spec dramlat.RunSpec) (dramlat.Results, bool) {
-	_, res, ok := c.Entry(spec.Hash())
-	return res, ok
-}
-
-// Entry returns the stored spec and results for a content hash, with
-// the same verify-and-quarantine semantics as Get. The hash is validated
-// strictly (64 lowercase hex chars) before it touches a path.
-func (c *Cache) Entry(hash string) (dramlat.RunSpec, dramlat.Results, bool) {
-	if c == nil || !validHash(hash) {
-		return dramlat.RunSpec{}, dramlat.Results{}, false
+	if c == nil {
+		return dramlat.Results{}, false
 	}
-	path := c.path(hash)
+	path := c.path(spec.Hash())
 	b, err := os.ReadFile(path)
 	if err != nil {
-		return dramlat.RunSpec{}, dramlat.Results{}, false
+		return dramlat.Results{}, false
 	}
 	var e entry
 	if err := json.Unmarshal(b, &e); err != nil || e.Checksum != checksum(e.Spec, e.Results) {
 		c.quarantine(path)
-		return dramlat.RunSpec{}, dramlat.Results{}, false
+		return dramlat.Results{}, false
 	}
-	return e.Spec, e.Results, true
-}
-
-// validHash reports whether s looks like a RunSpec.Hash (hex SHA-256),
-// so Entry never builds a path from anything else.
-func validHash(s string) bool {
-	if len(s) != 64 {
-		return false
-	}
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if (c < '0' || c > '9') && (c < 'a' || c > 'f') {
-			return false
-		}
-	}
-	return true
+	return e.Results, true
 }
 
 // quarantine moves a bad entry aside (best-effort; removed on rename

@@ -81,40 +81,3 @@ func TestCachePutGetConcurrent(t *testing.T) {
 		return nil
 	})
 }
-
-// TestCacheEntryByHash covers the fetch-by-hash lookup, including the
-// strict hash validation that fences path traversal.
-func TestCacheEntryByHash(t *testing.T) {
-	c, err := OpenCache(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec := dramlat.RunSpec{Benchmark: "spmv", Scheduler: "wg-w", Scale: 0.05, SMs: 2, WarpsPerSM: 4}
-	res := dramlat.Results{Ticks: 777, Drained: true}
-	if err := c.Put(spec, res); err != nil {
-		t.Fatal(err)
-	}
-	gotSpec, gotRes, ok := c.Entry(spec.Hash())
-	if !ok || gotRes != res {
-		t.Fatalf("Entry miss: ok=%v res=%+v", ok, gotRes)
-	}
-	// Entries store the canonical spec.
-	if gotSpec.Hash() != spec.Hash() || gotSpec.Seed != 1 {
-		t.Fatalf("stored spec not canonical: %+v", gotSpec)
-	}
-	for _, bad := range []string{
-		"", "zz", strings.Repeat("g", 64), "../../../../etc/passwd",
-		strings.Repeat("A", 64), spec.Hash()[:63],
-	} {
-		if _, _, ok := c.Entry(bad); ok {
-			t.Errorf("invalid hash %q hit", bad)
-		}
-	}
-	if _, _, ok := c.Entry(strings.Repeat("0", 64)); ok {
-		t.Error("absent hash hit")
-	}
-	var nilc *Cache
-	if _, _, ok := nilc.Entry(spec.Hash()); ok {
-		t.Error("nil cache hit")
-	}
-}

@@ -40,20 +40,12 @@ type Engine struct {
 	// after every successful run.
 	Cache *Cache
 	// Runner executes one spec; nil means dramlat.Run. Tests and
-	// tools can substitute stubs or instrumented runners.
+	// tools can substitute stubs or instrumented runners, and
+	// TraceRunner captures telemetry artifacts.
 	Runner func(dramlat.RunSpec) (dramlat.Results, error)
 	// Progress, when non-nil, receives one Event per finished spec,
 	// never concurrently.
 	Progress func(Event)
-	// Telemetry, when it enables a subsystem and TelemetryDir is set,
-	// applies to every spec the engine actually executes, replacing the
-	// spec's own Telemetry options; each run's artifacts (events JSONL,
-	// interval CSVs) land in TelemetryDir named by the spec's canonical
-	// hash. Cache hits have no live run to trace, so resumed sweeps only
-	// emit artifacts for freshly executed specs. Ignored when a custom
-	// Runner is installed.
-	Telemetry    dramlat.TelemetryOptions
-	TelemetryDir string
 	// RunTimeout, when positive, gives every executed spec a wall-clock
 	// deadline (spec.Deadline = now + RunTimeout, unless the spec already
 	// carries one). A run that exceeds it aborts with a
@@ -102,15 +94,9 @@ func (e *Engine) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// runner picks the execution path: a custom Runner wins outright;
-// otherwise the telemetry runner handles every spec when the engine
-// captures artifacts, and plain dramlat.Run covers the rest.
 func (e *Engine) runner() func(dramlat.RunSpec) (dramlat.Results, error) {
 	if e.Runner != nil {
 		return e.Runner
-	}
-	if e.TelemetryDir != "" && e.Telemetry.Enabled() {
-		return e.telemetryRunner
 	}
 	return dramlat.Run
 }

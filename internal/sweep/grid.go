@@ -41,115 +41,77 @@ type Grid struct {
 	Extra []dramlat.RunSpec `json:"extra,omitempty"`
 }
 
+// axis is one cartesian dimension of a Grid: its JSON key, whether the
+// key was given with no values, its length, and a setter that writes its
+// i-th value into a spec.
+type axis struct {
+	key   string
+	empty bool // present but empty: non-nil with no values
+	n     int
+	set   func(s *dramlat.RunSpec, i int)
+}
+
+// ax builds the axis for one typed value list.
+func ax[T any](key string, vals []T, set func(*dramlat.RunSpec, T)) axis {
+	return axis{key, vals != nil && len(vals) == 0, len(vals),
+		func(s *dramlat.RunSpec, i int) { set(s, vals[i]) }}
+}
+
+// axes lists the grid's dimensions in enumeration order, benchmarks
+// outermost so per-benchmark results cluster together in reports.
+func (g Grid) axes() []axis {
+	return []axis{
+		ax("benchmarks", g.Benchmarks, func(s *dramlat.RunSpec, v string) { s.Benchmark = v }),
+		ax("schedulers", g.Schedulers, func(s *dramlat.RunSpec, v string) { s.Scheduler = v }),
+		ax("seeds", g.Seeds, func(s *dramlat.RunSpec, v int64) { s.Seed = v }),
+		ax("scales", g.Scales, func(s *dramlat.RunSpec, v float64) { s.Scale = v }),
+		ax("sms", g.SMs, func(s *dramlat.RunSpec, v int) { s.SMs = v }),
+		ax("warps_per_sm", g.WarpsPerSM, func(s *dramlat.RunSpec, v int) { s.WarpsPerSM = v }),
+		ax("read_qs", g.ReadQs, func(s *dramlat.RunSpec, v int) { s.ReadQ = v }),
+		ax("cmd_q_caps", g.CmdQCaps, func(s *dramlat.RunSpec, v int) { s.CmdQueueCap = v }),
+		ax("alphas", g.Alphas, func(s *dramlat.RunSpec, v float64) { s.SBWASAlpha = v }),
+		ax("ablations", g.Ablations, func(s *dramlat.RunSpec, v string) { s.Ablation = v }),
+		ax("warp_scheds", g.WarpScheds, func(s *dramlat.RunSpec, v string) { s.WarpSched = v }),
+		ax("perfect_coalescing", g.PerfectCoalescing, func(s *dramlat.RunSpec, v bool) { s.PerfectCoalescing = v }),
+		ax("zero_divergence", g.ZeroDivergence, func(s *dramlat.RunSpec, v bool) { s.ZeroDivergence = v }),
+		ax("extra", g.Extra, nil),
+	}
+}
+
+// cartesian is the axes that multiply: all but the trailing Extra.
+func (g Grid) cartesian() []axis {
+	a := g.axes()
+	return a[:len(a)-1]
+}
+
 // Size returns the number of specs Enumerate will produce.
 func (g Grid) Size() int {
-	dim := func(n int) int {
-		if n == 0 {
-			return 1
-		}
-		return n
+	n := 1
+	for _, a := range g.cartesian() {
+		n *= max(a.n, 1)
 	}
-	n := dim(len(g.Benchmarks)) * dim(len(g.Schedulers)) * dim(len(g.Seeds)) *
-		dim(len(g.Scales)) * dim(len(g.SMs)) * dim(len(g.WarpsPerSM)) *
-		dim(len(g.ReadQs)) * dim(len(g.CmdQCaps)) * dim(len(g.Alphas)) *
-		dim(len(g.Ablations)) * dim(len(g.WarpScheds)) *
-		dim(len(g.PerfectCoalescing)) * dim(len(g.ZeroDivergence))
 	return n + len(g.Extra)
 }
 
-// Enumerate expands the grid into concrete specs, benchmarks outermost so
-// per-benchmark results cluster together in reports.
+// Enumerate expands the grid into concrete specs in axis order, the last
+// axis varying fastest, then appends Extra. An empty axis leaves the
+// spec's zero value, which dramlat resolves to its default.
 func (g Grid) Enumerate() []dramlat.RunSpec {
 	specs := []dramlat.RunSpec{{}}
-	// Each non-empty dimension multiplies the partial spec list; empty
-	// dimensions pass through, leaving the spec's zero value.
-	strDim := func(vals []string, set func(*dramlat.RunSpec, string)) {
-		if len(vals) == 0 {
-			return
+	for _, a := range g.cartesian() {
+		if a.n == 0 {
+			continue
 		}
-		var next []dramlat.RunSpec
+		next := make([]dramlat.RunSpec, 0, len(specs)*a.n)
 		for _, s := range specs {
-			for _, v := range vals {
-				c := s
-				set(&c, v)
-				next = append(next, c)
+			for i := range a.n {
+				a.set(&s, i)
+				next = append(next, s)
 			}
 		}
 		specs = next
 	}
-	intDim := func(vals []int, set func(*dramlat.RunSpec, int)) {
-		if len(vals) == 0 {
-			return
-		}
-		var next []dramlat.RunSpec
-		for _, s := range specs {
-			for _, v := range vals {
-				c := s
-				set(&c, v)
-				next = append(next, c)
-			}
-		}
-		specs = next
-	}
-	f64Dim := func(vals []float64, set func(*dramlat.RunSpec, float64)) {
-		if len(vals) == 0 {
-			return
-		}
-		var next []dramlat.RunSpec
-		for _, s := range specs {
-			for _, v := range vals {
-				c := s
-				set(&c, v)
-				next = append(next, c)
-			}
-		}
-		specs = next
-	}
-	i64Dim := func(vals []int64, set func(*dramlat.RunSpec, int64)) {
-		if len(vals) == 0 {
-			return
-		}
-		var next []dramlat.RunSpec
-		for _, s := range specs {
-			for _, v := range vals {
-				c := s
-				set(&c, v)
-				next = append(next, c)
-			}
-		}
-		specs = next
-	}
-	boolDim := func(vals []bool, set func(*dramlat.RunSpec, bool)) {
-		if len(vals) == 0 {
-			return
-		}
-		var next []dramlat.RunSpec
-		for _, s := range specs {
-			for _, v := range vals {
-				c := s
-				set(&c, v)
-				next = append(next, c)
-			}
-		}
-		specs = next
-	}
-
-	strDim(g.Benchmarks, func(s *dramlat.RunSpec, v string) { s.Benchmark = v })
-	strDim(g.Schedulers, func(s *dramlat.RunSpec, v string) { s.Scheduler = v })
-	i64Dim(g.Seeds, func(s *dramlat.RunSpec, v int64) { s.Seed = v })
-	f64Dim(g.Scales, func(s *dramlat.RunSpec, v float64) { s.Scale = v })
-	intDim(g.SMs, func(s *dramlat.RunSpec, v int) { s.SMs = v })
-	intDim(g.WarpsPerSM, func(s *dramlat.RunSpec, v int) { s.WarpsPerSM = v })
-	intDim(g.ReadQs, func(s *dramlat.RunSpec, v int) { s.ReadQ = v })
-	intDim(g.CmdQCaps, func(s *dramlat.RunSpec, v int) { s.CmdQueueCap = v })
-	f64Dim(g.Alphas, func(s *dramlat.RunSpec, v float64) { s.SBWASAlpha = v })
-	strDim(g.Ablations, func(s *dramlat.RunSpec, v string) { s.Ablation = v })
-	strDim(g.WarpScheds, func(s *dramlat.RunSpec, v string) { s.WarpSched = v })
-	boolDim(g.PerfectCoalescing, func(s *dramlat.RunSpec, v bool) { s.PerfectCoalescing = v })
-	boolDim(g.ZeroDivergence, func(s *dramlat.RunSpec, v bool) { s.ZeroDivergence = v })
-
-	specs = append(specs, g.Extra...)
-	return specs
+	return append(specs, g.Extra...)
 }
 
 // Validate rejects grids that would enumerate specs dramlat.Run refuses,
@@ -166,27 +128,9 @@ func (g Grid) Validate() error {
 	// An axis that is present but empty is almost always a mistake (the
 	// author meant to list values, or should delete the key to mean
 	// "default"), and it would silently enumerate zero specs.
-	for _, ax := range []struct {
-		name    string
-		present bool
-	}{
-		{"benchmarks", g.Benchmarks != nil && len(g.Benchmarks) == 0},
-		{"schedulers", g.Schedulers != nil && len(g.Schedulers) == 0},
-		{"seeds", g.Seeds != nil && len(g.Seeds) == 0},
-		{"scales", g.Scales != nil && len(g.Scales) == 0},
-		{"sms", g.SMs != nil && len(g.SMs) == 0},
-		{"warps_per_sm", g.WarpsPerSM != nil && len(g.WarpsPerSM) == 0},
-		{"read_qs", g.ReadQs != nil && len(g.ReadQs) == 0},
-		{"cmd_q_caps", g.CmdQCaps != nil && len(g.CmdQCaps) == 0},
-		{"alphas", g.Alphas != nil && len(g.Alphas) == 0},
-		{"ablations", g.Ablations != nil && len(g.Ablations) == 0},
-		{"warp_scheds", g.WarpScheds != nil && len(g.WarpScheds) == 0},
-		{"perfect_coalescing", g.PerfectCoalescing != nil && len(g.PerfectCoalescing) == 0},
-		{"zero_divergence", g.ZeroDivergence != nil && len(g.ZeroDivergence) == 0},
-		{"extra", g.Extra != nil && len(g.Extra) == 0},
-	} {
-		if ax.present {
-			v.Addf(ax.name, nil, "axis present but empty: add values or delete the key")
+	for _, a := range g.axes() {
+		if a.empty {
+			v.Addf(a.key, nil, "axis present but empty: add values or delete the key")
 		}
 	}
 	known := map[string]bool{}
@@ -233,15 +177,6 @@ func (g Grid) Validate() error {
 		}
 	}
 	return v.Err()
-}
-
-// gridAxes is the set of legal top-level keys in a grid file, i.e. the
-// JSON tags of Grid.
-var gridAxes = map[string]bool{
-	"benchmarks": true, "schedulers": true, "seeds": true, "scales": true,
-	"sms": true, "warps_per_sm": true, "read_qs": true, "cmd_q_caps": true,
-	"alphas": true, "ablations": true, "warp_scheds": true,
-	"perfect_coalescing": true, "zero_divergence": true, "extra": true,
 }
 
 // ParseGrid decodes a JSON grid description (the cmd/dlsweep -grid
@@ -299,6 +234,10 @@ func checkGridKeys(data []byte, v *dramlat.ValidationError) (decodable bool, err
 	if d, ok := tok.(json.Delim); !ok || d != '{' {
 		return false, fmt.Errorf("grid must be a JSON object, got %v", tok)
 	}
+	known := map[string]bool{}
+	for _, a := range (Grid{}).axes() {
+		known[a.key] = true
+	}
 	seen := map[string]int{}
 	for dec.More() {
 		keyTok, err := dec.Token()
@@ -307,7 +246,7 @@ func checkGridKeys(data []byte, v *dramlat.ValidationError) (decodable bool, err
 		}
 		key, _ := keyTok.(string)
 		seen[key]++
-		if seen[key] == 1 && !gridAxes[key] {
+		if seen[key] == 1 && !known[key] {
 			v.Addf(key, nil, "unknown grid axis")
 		}
 		if seen[key] == 2 {

@@ -1,8 +1,11 @@
 package sweep
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"math"
+	"os"
 	"strings"
 	"testing"
 
@@ -141,5 +144,39 @@ func TestGridValidateStructured(t *testing.T) {
 	// A grid valid only through Extra (no cartesian axes) passes.
 	if err := (Grid{Extra: []dramlat.RunSpec{{Benchmark: "bfs", Scheduler: "gmc"}}}).Validate(); err != nil {
 		t.Fatalf("extra-only grid rejected: %v", err)
+	}
+}
+
+// TestGridEnumerateAllAxes pins the size and the exact enumeration order
+// of a grid that sets every axis (two values on most) plus one extra
+// spec. The digest covers each spec's CanonicalJSON in order, so a
+// reordered axis, a dropped setter or a setter wired to the wrong field
+// all change it; so would any change to what Canonical resolves.
+func TestGridEnumerateAllAxes(t *testing.T) {
+	f, err := os.Open("testdata/all-axes.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	g, err := ParseGrid(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs := g.Enumerate()
+	if len(specs) != 257 || g.Size() != len(specs) {
+		t.Fatalf("enumerated %d specs, Size() = %d, want 257", len(specs), g.Size())
+	}
+	h := sha256.New()
+	for _, s := range specs {
+		b, err := s.CanonicalJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.Write(b)
+		h.Write([]byte{'\n'})
+	}
+	const want = "6d78309657821a98f64213786cb89745071908cdab47ef47a5e42472c06d982a"
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Fatalf("enumeration digest %s, want %s", got, want)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -155,10 +156,19 @@ func TestCacheRoundTrip(t *testing.T) {
 	if got, ok := c.Get(alias); !ok || got != res {
 		t.Fatal("canonicalized alias missed the cache")
 	}
-	// Layout: sharded by hash prefix.
+	// Layout: sharded by hash prefix, and the entry stores the
+	// canonical spec.
 	h := spec.Hash()
-	if _, err := filepath.Glob(filepath.Join(dir, h[:2], h+".json")); err != nil {
+	b, err := os.ReadFile(filepath.Join(dir, h[:2], h+".json"))
+	if err != nil {
 		t.Fatal(err)
+	}
+	var e entry
+	if err := json.Unmarshal(b, &e); err != nil {
+		t.Fatal(err)
+	}
+	if e.Spec != spec.Canonical() {
+		t.Fatalf("stored spec not canonical: %+v", e.Spec)
 	}
 	if c.Len() != 1 {
 		t.Fatalf("Len=%d", c.Len())

@@ -9,31 +9,36 @@ import (
 	"dramlat/internal/telemetry"
 )
 
-// telemetryRunner executes one spec under the engine's Telemetry options
-// and writes the artifacts before returning, so a sweep's traces are
-// complete as soon as the Progress event for the spec fires.
-func (e *Engine) telemetryRunner(spec dramlat.RunSpec) (dramlat.Results, error) {
-	if spec.IsSampled() {
-		// A sampled run's fast-forward regions are modeled, not
-		// simulated: most of the trace simply does not exist, and a
-		// partial artifact indistinguishable from a full one would
-		// poison downstream analysis. Fail the spec with a typed field
-		// error instead (dlsweep rejects the combination up front; this
-		// guards library callers that build the Engine themselves).
-		return dramlat.Results{}, &dramlat.ValidationError{Fields: []dramlat.FieldError{{
-			Field: "Telemetry", Value: "sampled",
-			Msg: "telemetry capture is not available for sampled runs: fast-forward regions are modeled and have no events to record",
-		}}}
-	}
-	spec.Telemetry = e.Telemetry
-	res, tel, err := dramlat.RunTelemetry(spec)
-	if tel != nil {
-		// A MaxTicks run still has a (partial) trace worth keeping.
-		if werr := writeArtifacts(e.TelemetryDir, spec.Hash(), tel); werr != nil && err == nil {
-			err = werr
+// TraceRunner returns an Engine.Runner that runs every spec under opts
+// (replacing the spec's own Telemetry options) and writes the run's
+// artifacts into dir, named by the spec's canonical hash, before it
+// returns: a sweep's traces are complete as soon as the Progress event
+// for the spec fires. Cache hits have no live run to trace, so a resumed
+// sweep only emits artifacts for freshly executed specs.
+func TraceRunner(dir string, opts dramlat.TelemetryOptions) func(dramlat.RunSpec) (dramlat.Results, error) {
+	return func(spec dramlat.RunSpec) (dramlat.Results, error) {
+		if spec.IsSampled() {
+			// A sampled run's fast-forward regions are modeled, not
+			// simulated: most of the trace simply does not exist, and a
+			// partial artifact indistinguishable from a full one would
+			// poison downstream analysis. Fail the spec with a typed
+			// field error instead (dlsweep rejects the combination up
+			// front; this guards library callers).
+			return dramlat.Results{}, &dramlat.ValidationError{Fields: []dramlat.FieldError{{
+				Field: "Telemetry", Value: "sampled",
+				Msg: "telemetry capture is not available for sampled runs: fast-forward regions are modeled and have no events to record",
+			}}}
 		}
+		spec.Telemetry = opts
+		res, tel, err := dramlat.RunTelemetry(spec)
+		if tel != nil {
+			// A MaxTicks run still has a (partial) trace worth keeping.
+			if werr := writeArtifacts(dir, spec.Hash(), tel); werr != nil && err == nil {
+				err = werr
+			}
+		}
+		return res, err
 	}
-	return res, err
 }
 
 // writeArtifacts writes one run's telemetry bundle into dir, one file per

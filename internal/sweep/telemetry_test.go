@@ -16,9 +16,8 @@ func TestSweepTelemetryArtifacts(t *testing.T) {
 		Benchmark: "bfs", Scheduler: "wg-w", Scale: 0.05, SMs: 2, WarpsPerSM: 4,
 	}
 	eng := &Engine{
-		Workers:      1,
-		Telemetry:    dramlat.TelemetryOptions{Events: true, SampleEvery: 200},
-		TelemetryDir: dir,
+		Workers: 1,
+		Runner:  TraceRunner(dir, dramlat.TelemetryOptions{Events: true, SampleEvery: 200}),
 	}
 	rep := eng.Run([]dramlat.RunSpec{spec})
 	if err := rep.Err(); err != nil {
@@ -71,27 +70,7 @@ func TestSweepTelemetryHashSharing(t *testing.T) {
 	}
 }
 
-func TestSweepTelemetryCustomRunnerWins(t *testing.T) {
-	ran := false
-	eng := &Engine{
-		Workers: 1,
-		Runner: func(s dramlat.RunSpec) (dramlat.Results, error) {
-			ran = true
-			return dramlat.Results{}, nil
-		},
-		Telemetry:    dramlat.TelemetryOptions{Events: true},
-		TelemetryDir: t.TempDir(),
-	}
-	rep := eng.Run([]dramlat.RunSpec{{Benchmark: "bfs", Scheduler: "gmc"}})
-	if err := rep.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if !ran {
-		t.Fatal("custom runner not used")
-	}
-}
-
-// TestSweepTelemetryRejectsSampled pins the engine-side guard: a sampled
+// TestSweepTelemetryRejectsSampled pins TraceRunner's guard: a sampled
 // run's fast-forward regions are modeled, so there is no full trace to
 // capture. The spec fails with a typed Telemetry field error, leaves no
 // (partial) artifact behind and is not cached, so the same spec without
@@ -104,10 +83,9 @@ func TestSweepTelemetryRejectsSampled(t *testing.T) {
 	}
 	spec := sampledTinySpecs()[0]
 	eng := &Engine{
-		Workers:      1,
-		Cache:        cache,
-		Telemetry:    dramlat.TelemetryOptions{Events: true},
-		TelemetryDir: dir,
+		Workers: 1,
+		Cache:   cache,
+		Runner:  TraceRunner(dir, dramlat.TelemetryOptions{Events: true}),
 	}
 	rep := eng.Run([]dramlat.RunSpec{spec})
 	if rep.Failed != 1 || rep.Cached != 0 {

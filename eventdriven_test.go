@@ -33,9 +33,14 @@ func newSystem(t *testing.T, cfg gpu.Config, bench string, scale float64) *gpu.S
 // engine and returns the two systems (for their telemetry) and results.
 func runBoth(t *testing.T, spec dramlat.RunSpec) (dsys, esys *gpu.System, dense, event gpu.Results) {
 	t.Helper()
-	cfg := dramlat.Config(spec)
-	dsys = newSystem(t, cfg, spec.Benchmark, spec.Scale)
-	esys = newSystem(t, cfg, spec.Benchmark, spec.Scale)
+	return runBothConfig(t, dramlat.Config(spec), spec.Benchmark, spec.Scale)
+}
+
+// runBothConfig is runBoth for a machine config no RunSpec can express.
+func runBothConfig(t *testing.T, cfg gpu.Config, bench string, scale float64) (dsys, esys *gpu.System, dense, event gpu.Results) {
+	t.Helper()
+	dsys = newSystem(t, cfg, bench, scale)
+	esys = newSystem(t, cfg, bench, scale)
 	dense, err := dsys.RunDense()
 	if err != nil {
 		t.Fatalf("dense run: %v", err)
@@ -54,7 +59,11 @@ func runBoth(t *testing.T, spec dramlat.RunSpec) (dsys, esys *gpu.System, dense,
 // every component every cycle. Any mismatch means a component reported
 // a wakeup tick later than its first real state change. The sm120 rows
 // run spmv on a 120-SM scale-up, where most SMs sit idle between
-// responses and the stepper skips the most component ticks.
+// responses and the stepper skips the most component ticks. The
+// backpressure rows fill crossbar FIFOs and L1 MSHRs, so SM replay
+// heads block and sleep until a slot frees or a response lands; their
+// SM samples pin the idle-stall split that CatchUp batches across those
+// sleeps, which Results do not carry.
 func TestEventDrivenMatchesDense(t *testing.T) {
 	workloads := []string{"bfs", "streamcluster"}
 	for _, sched := range gpu.Schedulers() {
@@ -92,6 +101,36 @@ func TestEventDrivenMatchesDense(t *testing.T) {
 				t.Fatalf("results diverge\ndense: %+v\nevent: %+v", dense, event)
 			}
 		})
+	}
+	variants := []struct {
+		name  string
+		tweak func(*gpu.Config)
+	}{
+		{"default", func(*gpu.Config) {}},
+		{"xbarq1", func(c *gpu.Config) { c.XbarQueue = 1 }},
+		{"mshr4", func(c *gpu.Config) { c.L1MSHRs = 4 }},
+		{"lrr", func(c *gpu.Config) { c.WarpSched = "lrr" }},
+	}
+	for _, v := range variants {
+		for _, wl := range []string{"SS", "spmv"} {
+			for _, sched := range []string{"gmc", "wg-w"} {
+				t.Run("backpressure/"+v.name+"/"+sched+"/"+wl, func(t *testing.T) {
+					cfg := dramlat.Config(dramlat.RunSpec{
+						Scheduler: sched, SMs: 6, WarpsPerSM: 8,
+						Telemetry: telemetry.Options{SampleEvery: 200},
+					})
+					v.tweak(&cfg)
+					dsys, esys, dense, event := runBothConfig(t, cfg, wl, 0.05)
+					if !reflect.DeepEqual(dense, event) {
+						t.Fatalf("results diverge\ndense: %+v\nevent: %+v", dense, event)
+					}
+					if !reflect.DeepEqual(dsys.Tel.Sampler.SMs, esys.Tel.Sampler.SMs) {
+						t.Fatalf("SM samples diverge\ndense: %+v\nevent: %+v",
+							dsys.Tel.Sampler.SMs, esys.Tel.Sampler.SMs)
+					}
+				})
+			}
+		}
 	}
 }
 

@@ -598,12 +598,18 @@ func (w *WarpScheduler) NextRead(now int64) *memreq.Request {
 // input: new requests, group credits, coordination messages (delivered
 // by PollCoordination, woken by coordnet.NextDue) or a bank freeing up
 // (woken by the channel). Selection itself always mutates state
-// (Stats, WG-M broadcast), so any selectable state returns now+1.
+// (Stats, WG-M broadcast), so any selectable state returns now+1. So
+// does an exhausted current group: the next NextRead replaces it, even
+// with nothing to select, and a late request of that group arriving
+// first would otherwise revive it without a selection.
 func (w *WarpScheduler) NextWakeup(now int64) int64 {
+	if w.current != nil && w.exhausted(w.current) {
+		return now + 1
+	}
 	if w.count == 0 {
 		return memctrl.Never
 	}
-	if w.current != nil && !w.exhausted(w.current) {
+	if w.current != nil {
 		if w.nextFromGroup(w.current) != nil {
 			return now + 1
 		}

@@ -186,7 +186,7 @@ func (p *partition) Tick(now int64) {
 	// Pull new work from the crossbar.
 	if len(p.pipe)-p.pipeHead < p.pipeCap {
 		if req := p.x.PeekPart(p.id, now); req != nil {
-			p.x.PopPart(p.id)
+			p.x.PopPart(p.id, now)
 			p.pipe = append(p.pipe, pipeEntry{req, now + p.l2Lat})
 			p.didWork = true
 		}

@@ -341,20 +341,25 @@ func (s *SM) unblock(wi int, now int64, gid memreq.GroupID) {
 	}
 }
 
-// classifyStall attributes one idle cycle to its cause, for the interval
-// sampler's stall breakdown. Memory wins over LSU back-pressure: if any
-// live warp is blocked on a load, multithreading has run out of warps to
-// hide that latency with (Section III-A), which is the condition the
-// paper's schedulers attack.
-func (s *SM) classifyStall() {
+// idle counts k idle cycles of an SM with warps outstanding and
+// attributes them to their cause, for the interval sampler's stall
+// breakdown. Memory wins over LSU back-pressure: if any live warp is
+// blocked on a load, multithreading has run out of warps to hide that
+// latency with (Section III-A), which is the condition the paper's
+// schedulers attack.
+func (s *SM) idle(k int64) {
+	if s.active == 0 {
+		return
+	}
+	s.IdleTicks += k
 	for i, b := range s.blockedM {
 		if b&^s.doneM[i] != 0 {
-			s.IdleMemTicks++
+			s.IdleMemTicks += k
 			return
 		}
 	}
 	if s.ReplayLen() > 0 {
-		s.IdleLSUTicks++
+		s.IdleLSUTicks += k
 	}
 }
 
@@ -373,13 +378,17 @@ func (s *SM) Tick(now int64, resp *memreq.Request) {
 }
 
 // NextWakeup returns the earliest tick strictly after now at which Tick
-// could do anything beyond counting an idle cycle, assuming no response
-// arrives first (response arrival is covered by the crossbar's
-// RespWake). A non-empty replay queue retries injection every tick; an
-// unblocked warp issues at its readyAt (or next tick, when several are
-// ready and queue behind the one-issue-per-tick limit). never means the
-// SM is quiescent until external input. Call it right after Tick(now):
-// it reads the nextReady bound that Tick's warp scan left behind.
+// could do anything beyond counting an idle cycle, assuming no crossbar
+// input arrives first. Crossbar input is a response or a freed slot in
+// one of this SM's full request FIFOs; the crossbar's RespWake covers
+// both. An unblocked warp issues at its readyAt (or next tick, when
+// several are ready and queue behind the one-issue-per-tick limit).
+// A replay queue left non-empty by Tick has a blocked head: either its
+// crossbar FIFO is full, which only a freed slot releases, or the L1
+// MSHRs are exhausted, which only a response (Deliver) releases. So it
+// adds no wakeup of its own. never means the SM is quiescent until
+// external input. Call it right after Tick(now): it reads the
+// nextReady bound that Tick's warp scan left behind.
 func (s *SM) NextWakeup(now int64) int64 {
 	if s.frozen {
 		// Drain phase: tick every cycle until quiescent (the replay
@@ -389,7 +398,7 @@ func (s *SM) NextWakeup(now int64) int64 {
 		}
 		return now + 1
 	}
-	if s.ReplayLen() > 0 || s.issuedLast {
+	if s.issuedLast {
 		return now + 1
 	}
 	if s.nextReady <= now {
@@ -400,23 +409,15 @@ func (s *SM) NextWakeup(now int64) int64 {
 
 // CatchUp accounts k ticks the event-driven loop skipped for this SM.
 // A skippable tick is exactly a dense tick that would only have counted
-// an idle cycle: no deliverable response, empty replay queue, and no
-// live unblocked warp ready before the wakeup — so warp and replay
-// state are provably unchanged across the window and only the idle
-// counters need batching. The stall classification mirrors
-// classifyStall: with an empty replay queue the only attributable cause
-// is memory, and the blocked set cannot change inside the window, so
-// one check covers all k ticks.
+// an idle cycle: no crossbar input, a replay queue that is empty or
+// whose head is blocked, and no live unblocked warp ready before the
+// wakeup — so warp and replay state are provably unchanged across the
+// window and only the idle counters need batching. The blocked set and
+// the replay queue cannot change inside the window, so the stall cause
+// a dense idle tick would record holds for all k ticks.
 func (s *SM) CatchUp(k int64) {
-	if k <= 0 || s.active == 0 {
-		return
-	}
-	s.IdleTicks += k
-	for i, b := range s.blockedM {
-		if b&^s.doneM[i] != 0 {
-			s.IdleMemTicks += k
-			return
-		}
+	if k > 0 {
+		s.idle(k)
 	}
 }
 
@@ -499,19 +500,13 @@ func (s *SM) dropOrCredit(r *memreq.Request) {
 func (s *SM) issue(now int64) {
 	if s.frozen {
 		s.issuedLast = false
-		if s.active > 0 {
-			s.IdleTicks++
-			s.classifyStall()
-		}
+		s.idle(1)
 		return
 	}
 	wi := s.pickWarp(now)
 	s.issuedLast = wi >= 0
 	if wi < 0 {
-		if s.active > 0 {
-			s.IdleTicks++
-			s.classifyStall()
-		}
+		s.idle(1)
 		return
 	}
 	s.ActiveTicks++

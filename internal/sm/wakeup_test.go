@@ -37,15 +37,22 @@ func (h *wakeHarness) fingerprint() string {
 }
 
 // TestSMNextWakeupNeverLate property-checks SM.NextWakeup over random
-// programs and response latencies: on any tick with no response delivery,
-// the SM's state must stay frozen until the wakeup it reported.
+// programs, response latencies and crossbar rejections: on any tick with
+// no external input (a response delivery or a freed crossbar slot), the
+// SM's state must stay frozen until the wakeup it reported. Streams 20
+// and up hold each rejection state for tens of ticks, so a replay head
+// blocked on the crossbar really sleeps through long back-pressure
+// streaks; each of them must do so at least once.
 func TestSMNextWakeupNeverLate(t *testing.T) {
-	for iter := 0; iter < 20; iter++ {
+	for iter := 0; iter < 30; iter++ {
 		iter := iter
+		streaky := iter >= 20
 		t.Run(fmt.Sprintf("stream%d", iter), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(iter) + 1))
 			h := &wakeHarness{}
 			reject := false
+			rejected := false // an injection failed since the last slot wake
+			slept := 0        // ticks a blocked replay head slept through
 			var pendingInject []*memreq.Request
 			cfg := Config{
 				ID:     0,
@@ -57,6 +64,7 @@ func TestSMNextWakeupNeverLate(t *testing.T) {
 				WarpSize: 32,
 				Inject: func(r *memreq.Request, now int64) bool {
 					if reject {
+						rejected = true
 						return false
 					}
 					h.injected++
@@ -97,7 +105,11 @@ func TestSMNextWakeupNeverLate(t *testing.T) {
 					}
 				}
 				pendingInject = pendingInject[:0]
-				reject = rng.Intn(10) == 0
+				if !streaky {
+					reject = rng.Intn(10) == 0
+				} else if rng.Intn(40) == 0 {
+					reject = !reject
+				}
 
 				var resp *memreq.Request
 				if len(h.pendingQ) > 0 && h.pendingQ[0].readyAt <= now {
@@ -107,6 +119,16 @@ func TestSMNextWakeupNeverLate(t *testing.T) {
 				effPred := pred
 				if resp != nil {
 					effPred = now // external input invalidates the bound
+				}
+				if rejected && !reject {
+					// The first accepting tick after a rejection frees the
+					// slot a blocked head waits on: the external wake the
+					// system loop models with PopPart lowering RespWake.
+					effPred = now
+					rejected = false
+				}
+				if now < effPred && h.sm.ReplayLen() > 0 {
+					slept++
 				}
 				before := h.fingerprint()
 				h.sm.Tick(now, resp)
@@ -123,6 +145,9 @@ func TestSMNextWakeupNeverLate(t *testing.T) {
 				if len(h.pendingQ) > 0 && h.pendingQ[0].readyAt < pred {
 					pred = h.pendingQ[0].readyAt
 				}
+			}
+			if streaky && slept == 0 {
+				t.Fatal("no tick slept on a blocked replay head")
 			}
 		})
 	}

@@ -102,7 +102,9 @@ type Xbar struct {
 	// respWake are lower bounds on the earliest head readyAt of the
 	// queues toward a partition / an SM: min-updated on insert (exact
 	// when the queue was empty), recomputed from the true heads on every
-	// pop attempt. A stale-early bound only costs a spurious visit.
+	// pop attempt. respWake is also lowered when a pop frees a slot in
+	// one of the SM's full request FIFOs (see PopPart). A stale-early
+	// bound only costs a spurious visit.
 	reqWake  []int64
 	respWake []int64
 	queuedTo []int // per-partition queued request count (NoInterleave)
@@ -175,7 +177,7 @@ func (x *Xbar) Inject(sm int, req *memreq.Request, now int64) bool {
 }
 
 // PeekPart returns the next request deliverable to partition `part` at tick
-// now without removing it; PopPart(part) consumes it. It returns nil when
+// now without removing it; PopPart(part, now) consumes it. It returns nil when
 // nothing is ready. Arbitration is round-robin across SMs (or sticky
 // per-SM in NoInterleave mode); each (SM, partition) FIFO preserves
 // order. A successful peek must be consumed (or re-peeked) before the
@@ -231,9 +233,18 @@ func (x *Xbar) headIfReady(sm, part int, now int64) *memreq.Request {
 }
 
 // PopPart consumes the request the last successful PeekPart(part, ·)
-// returned, advancing the round-robin arbitration past its SM.
-func (x *Xbar) PopPart(part int) {
-	x.toPart[x.pendSM[part]][part].pop()
+// returned at tick now, advancing the round-robin arbitration past its
+// SM. Popping from a full (SM, partition) FIFO frees the slot that SM's
+// replay head may be blocked on, so it lowers the SM's crossbar wake
+// (RespWake) to now+1: SMs tick before partitions, so that is the first
+// tick the SM's injection retry could succeed.
+func (x *Xbar) PopPart(part int, now int64) {
+	sm := x.pendSM[part]
+	q := &x.toPart[sm][part]
+	if q.len() >= x.CapPerQueue {
+		x.lowerRespWake(sm, now+1)
+	}
+	q.pop()
 	x.queuedTo[part]--
 	x.recomputeReqWake(part)
 	if rot := x.pendRot[part]; rot >= 0 {
@@ -292,14 +303,17 @@ func (x *Xbar) ReqWake(part int) int64 {
 	return x.reqWake[part]
 }
 
-// RespWake returns the earliest tick at which PopResponse(sm, ·) could
-// return a response, or never when none are queued. The bound may be
-// stale-early (≤ now with no deliverable head), which only costs a
-// spurious SM visit, never a missed one.
+// RespWake returns the earliest tick at which SM sm could see crossbar
+// input: PopResponse(sm, ·) returning a response, or an injection into
+// one of its request FIFOs succeeding after PopPart freed a slot in it.
+// It is never when neither can happen. The bound may be stale-early
+// (≤ now with no deliverable head), which only costs a spurious SM
+// visit, never a missed one; the SM's next PopResponse restores the
+// response-head bound.
 func (x *Xbar) RespWake(sm int) int64 { return x.respWake[sm] }
 
 // MinRespWake returns min over SMs of RespWake — the earliest tick any
-// SM could receive a response.
+// SM could receive a response or a freed request slot.
 func (x *Xbar) MinRespWake() int64 { return x.minRespWake }
 
 // MinReqWake returns min over partitions of ReqWake — the earliest tick
@@ -332,6 +346,12 @@ func (x *Xbar) RespondTo(part, sm int, req *memreq.Request, now int64) {
 	t := now + x.Latency
 	x.toSM[part][sm].push(entry{req, t})
 	x.Responses++
+	x.lowerRespWake(sm, t)
+}
+
+// lowerRespWake min-updates SM sm's crossbar wake and the whole-crossbar
+// minimum with tick t.
+func (x *Xbar) lowerRespWake(sm int, t int64) {
 	if t < x.respWake[sm] {
 		x.respWake[sm] = t
 	}

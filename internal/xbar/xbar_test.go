@@ -26,7 +26,7 @@ func TestLatencyAndDelivery(t *testing.T) {
 	if got != r {
 		t.Fatalf("got %v", got)
 	}
-	x.PopPart(1)
+	x.PopPart(1, 110)
 	if got := x.PeekPart(1, 111); got != nil {
 		t.Fatal("request not consumed")
 	}
@@ -42,7 +42,7 @@ func TestPerSMOrderPreserved(t *testing.T) {
 		if got == nil || got.ID != uint64(i) {
 			t.Fatalf("position %d: got %v", i, got)
 		}
-		x.PopPart(0)
+		x.PopPart(0, 0)
 	}
 }
 
@@ -58,7 +58,7 @@ func TestSMsInterleave(t *testing.T) {
 		if got == nil {
 			break
 		}
-		x.PopPart(0)
+		x.PopPart(0, 0)
 		order = append(order, got.ID)
 	}
 	want := []uint64{10, 20, 11, 21, 12, 22}
@@ -82,7 +82,7 @@ func TestNoInterleaveDrainsOneSM(t *testing.T) {
 		if got == nil {
 			break
 		}
-		x.PopPart(0)
+		x.PopPart(0, 0)
 		order = append(order, got.ID)
 	}
 	want := []uint64{10, 11, 12, 20, 21, 22}
@@ -140,7 +140,7 @@ func TestEmpty(t *testing.T) {
 		t.Fatal("empty with queued request")
 	}
 	x.PeekPart(0, 0)
-	x.PopPart(0)
+	x.PopPart(0, 0)
 	x.Respond(0, req(2, 0, 0), 0)
 	if x.Empty() {
 		t.Fatal("empty with queued response")
@@ -162,7 +162,7 @@ func TestPartitionRoundRobinFair(t *testing.T) {
 	counts := map[uint16]int{}
 	for i := 0; i < 30; i++ {
 		got := x.PeekPart(0, 0)
-		x.PopPart(0)
+		x.PopPart(0, 0)
 		counts[got.Group.SM]++
 	}
 	for s := uint16(0); s < 3; s++ {
@@ -170,4 +170,53 @@ func TestPartitionRoundRobinFair(t *testing.T) {
 			t.Fatalf("SM %d got %d of 30 slots", s, counts[s])
 		}
 	}
+}
+
+// TestPopFullQueueWakesSM pins the freed-slot wake the event loop relies
+// on to sleep an SM whose replay head the crossbar rejected: popping
+// from a full (SM, partition) FIFO lowers that SM's RespWake and
+// MinRespWake to now+1, popping from a non-full FIFO leaves them alone,
+// and the SM's next PopResponse restores the true response-head bound.
+func TestPopFullQueueWakesSM(t *testing.T) {
+	x := New(2, 2, 10, 2)
+	x.Respond(0, req(100, 1, 0), 50) // SM 1's response head matures at 60
+	x.Inject(1, req(1, 1, 0), 0)
+	x.Inject(1, req(2, 1, 0), 0) // SM 1 -> partition 0 is now full
+	x.Inject(1, req(3, 1, 1), 0) // SM 1 -> partition 1 holds 1 of 2
+	check := func(when string, sm1, min int64) {
+		t.Helper()
+		if got := x.RespWake(1); got != sm1 {
+			t.Fatalf("%s: RespWake(1) = %d, want %d", when, got, sm1)
+		}
+		if got := x.MinRespWake(); got != min {
+			t.Fatalf("%s: MinRespWake() = %d, want %d", when, got, min)
+		}
+		if got := x.RespWake(0); got != never {
+			t.Fatalf("%s: RespWake(0) = %d, want never", when, got)
+		}
+	}
+	check("before pops", 60, 60)
+
+	if x.PeekPart(1, 20) == nil {
+		t.Fatal("partition 1 has nothing ready")
+	}
+	x.PopPart(1, 20)
+	check("pop from non-full FIFO", 60, 60)
+
+	if x.PeekPart(0, 20) == nil {
+		t.Fatal("partition 0 has nothing ready")
+	}
+	x.PopPart(0, 20)
+	check("pop from full FIFO", 21, 21)
+
+	if x.PeekPart(0, 21) == nil {
+		t.Fatal("partition 0 lost its second request")
+	}
+	x.PopPart(0, 21) // the FIFO is no longer full: no new wake
+	check("second pop", 21, 21)
+
+	if r := x.PopResponse(1, 21); r != nil {
+		t.Fatalf("response delivered before it matured: %v", r)
+	}
+	check("after PopResponse", 60, 60)
 }

@@ -1,14 +1,17 @@
 // Package atomicio gives CLI output all-or-nothing semantics: renderers
 // write into a buffer, and Commit lands the whole thing in one step — a
-// single Write for stdout, a temp-file rename for paths. A SIGINT (or
-// any error exit) between render and commit therefore leaves either the
-// complete artifact or nothing: no truncated last line for a consumer
-// to choke on, and never a half-written file shadowing a good one.
+// single Write for stdout, a device or a FIFO, a temp-file rename for
+// regular files. A SIGINT (or any error exit) between render and commit
+// therefore leaves either the complete artifact or nothing: no truncated
+// last line for a consumer to choke on, and never a half-written file
+// shadowing a good one.
 package atomicio
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 )
@@ -36,9 +39,14 @@ func (w *Writer) Write(p []byte) (int, error) {
 	return w.buf.Write(p)
 }
 
-// Commit lands the buffered output: one os.Stdout.Write for stdout, or
-// an atomic temp-file + rename next to the destination path, fsynced
-// so the artifact survives power loss — the file before the rename, the
+// Commit lands the buffered output. Stdout gets one os.Stdout.Write. A
+// path is first resolved through any symlinks, so a link keeps pointing
+// at its target and the target receives the bytes. An existing
+// non-regular destination (a device such as /dev/null, or a FIFO) is
+// opened in place and gets one Write, as stdout does: renaming over it
+// would replace the node with a regular file. Anything else gets an
+// atomic temp-file + rename next to the resolved path, fsynced so the
+// artifact survives power loss — the file before the rename, the
 // containing directory after it (the rename itself lives in directory
 // metadata). Calling Commit twice is an error; a writer that is never
 // committed writes nothing.
@@ -51,8 +59,17 @@ func (w *Writer) Commit() error {
 		_, err := os.Stdout.Write(w.buf.Bytes())
 		return err
 	}
-	dir := filepath.Dir(w.path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(w.path)+".tmp*")
+	path, err := filepath.EvalSymlinks(w.path)
+	if errors.Is(err, fs.ErrNotExist) {
+		path = w.path // a new file (or a dangling link, replaced)
+	} else if err != nil {
+		return fmt.Errorf("atomicio: %w", err)
+	}
+	if fi, err := os.Stat(path); err == nil && !fi.Mode().IsRegular() {
+		return writeInPlace(path, w.buf.Bytes())
+	}
+	dir := filepath.Dir(path)
+	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
 	if err != nil {
 		return fmt.Errorf("atomicio: %w", err)
 	}
@@ -70,11 +87,27 @@ func (w *Writer) Commit() error {
 		os.Remove(tmp.Name())
 		return fmt.Errorf("atomicio: %w", err)
 	}
-	if err := os.Rename(tmp.Name(), w.path); err != nil {
+	if err := os.Rename(tmp.Name(), path); err != nil {
 		os.Remove(tmp.Name())
 		return fmt.Errorf("atomicio: %w", err)
 	}
 	return syncDir(dir)
+}
+
+// writeInPlace writes b to an existing non-regular file with one Write.
+func writeInPlace(path string, b []byte) error {
+	f, err := os.OpenFile(path, os.O_WRONLY, 0)
+	if err != nil {
+		return fmt.Errorf("atomicio: %w", err)
+	}
+	if _, err := f.Write(b); err != nil {
+		f.Close()
+		return fmt.Errorf("atomicio: %w", err)
+	}
+	if err := f.Close(); err != nil {
+		return fmt.Errorf("atomicio: %w", err)
+	}
+	return nil
 }
 
 // syncDir fsyncs a directory so a just-renamed entry is durable. Some

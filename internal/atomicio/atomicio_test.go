@@ -4,7 +4,9 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"syscall"
 	"testing"
+	"time"
 )
 
 func TestCommitWritesFileAtomically(t *testing.T) {
@@ -95,5 +97,58 @@ func TestCreateStdin(t *testing.T) {
 		if w.path != "" {
 			t.Fatalf("Create(%q) path %q", p, w.path)
 		}
+	}
+}
+
+func TestCommitThroughSymlink(t *testing.T) {
+	dir := t.TempDir()
+	target := filepath.Join(dir, "target.json")
+	if err := os.WriteFile(target, []byte("old"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	link := filepath.Join(dir, "out.json")
+	if err := os.Symlink("target.json", link); err != nil {
+		t.Fatal(err)
+	}
+	w := Create(link)
+	w.Write([]byte("new"))
+	if err := w.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if b, err := os.ReadFile(target); err != nil || string(b) != "new" {
+		t.Fatalf("target content %q err %v", b, err)
+	}
+	if fi, err := os.Lstat(link); err != nil || fi.Mode()&os.ModeSymlink == 0 {
+		t.Fatalf("link replaced: mode %v err %v", fi.Mode(), err)
+	}
+}
+
+func TestCommitToFIFOWritesInPlace(t *testing.T) {
+	fifo := filepath.Join(t.TempDir(), "pipe")
+	if err := syscall.Mkfifo(fifo, 0o600); err != nil {
+		t.Skipf("mkfifo: %v", err)
+	}
+	got := make(chan string, 1)
+	go func() {
+		b, _ := os.ReadFile(fifo)
+		got <- string(b)
+	}()
+	w := Create(fifo)
+	w.Write([]byte("line1\nline2\n"))
+	if err := w.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	// A Commit that renamed over the FIFO would leave the reader blocked
+	// on the unlinked node: fail instead of hanging.
+	select {
+	case s := <-got:
+		if s != "line1\nline2\n" {
+			t.Fatalf("reader got %q", s)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("reader never received the bytes")
+	}
+	if fi, err := os.Lstat(fifo); err != nil || fi.Mode()&os.ModeNamedPipe == 0 {
+		t.Fatalf("FIFO replaced: mode %v err %v", fi.Mode(), err)
 	}
 }

@@ -30,7 +30,7 @@ type Network struct {
 	SerializeTicks int64
 
 	queues   [][]timedMsg // per destination (NOT due-ordered: links backpressure independently)
-	nextDue  []int64      // per destination, exact min due over queues[dst]
+	nextDue  []int64      // per destination, exact min due over queues[dst]: Deliver's early-out
 	linkFree [][]int64    // per (src,dst) link availability
 	outBuf   [][]Msg      // per destination, reused across Deliver calls
 
@@ -110,12 +110,5 @@ func (n *Network) Deliver(dst int, now int64) []Msg {
 // PendingFor returns the number of undelivered messages queued for dst.
 func (n *Network) PendingFor(dst int) int { return len(n.queues[dst]) }
 
-// never is the wakeup-contract sentinel (see dram.Never).
+// never is the nextDue sentinel: no message in flight.
 const never int64 = 1 << 62
-
-// NextDue returns the earliest due tick of any message queued for dst,
-// or never when dst has no messages in flight. The event-driven system
-// loop uses it to wake a controller exactly when Deliver would first
-// return something. The value is maintained exactly: min-updated on
-// Broadcast, recomputed from the survivors on every delivering Deliver.
-func (n *Network) NextDue(dst int) int64 { return n.nextDue[dst] }

@@ -591,56 +591,6 @@ func (w *WarpScheduler) NextRead(now int64) *memreq.Request {
 	return w.dispatch(r)
 }
 
-// NextWakeup implements memctrl.Scheduler. The only time-triggered
-// mutation on the NextRead path is the incomplete-group age fallback of
-// selectGroup; everything else either dispatches next tick (any
-// complete group, or a read queue backing up) or waits on external
-// input: new requests, group credits, coordination messages (delivered
-// by PollCoordination, woken by coordnet.NextDue) or a bank freeing up
-// (woken by the channel). Selection itself always mutates state
-// (Stats, WG-M broadcast), so any selectable state returns now+1. So
-// does an exhausted current group: the next NextRead replaces it, even
-// with nothing to select, and a late request of that group arriving
-// first would otherwise revive it without a selection.
-func (w *WarpScheduler) NextWakeup(now int64) int64 {
-	if w.current != nil && w.exhausted(w.current) {
-		return now + 1
-	}
-	if w.count == 0 {
-		return memctrl.Never
-	}
-	if w.current != nil {
-		if w.nextFromGroup(w.current) != nil {
-			return now + 1
-		}
-		// Every target bank is full: the channel wakeup covers progress.
-		return memctrl.Never
-	}
-	var oldestAny *group
-	for _, g := range w.order {
-		if len(g.pending) == 0 {
-			continue
-		}
-		if g.complete {
-			return now + 1 // selectGroup would pick (and mutate) now
-		}
-		if oldestAny == nil {
-			oldestAny = g
-		}
-	}
-	if oldestAny == nil {
-		return memctrl.Never
-	}
-	if w.count >= w.ctl.ReadCap*3/4 {
-		return now + 1 // incomplete fallback triggers on queue pressure
-	}
-	// The age fallback fires when now-firstArrive exceeds AgeThresh.
-	if wake := oldestAny.firstArrive + w.AgeThresh + 1; wake > now {
-		return wake
-	}
-	return now + 1
-}
-
 // FlushTelemetry closes any MERB streak span still open at end of run, so
 // begin/end pairs balance in the exported trace.
 func (w *WarpScheduler) FlushTelemetry(now int64) {

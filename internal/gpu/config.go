@@ -97,7 +97,7 @@ type Config struct {
 	// watchdog cadence); the run aborts with a stopped StallError.
 	Stop <-chan struct{}
 
-	// Faults injects chaos-test failures (late wakeups, forced panics).
+	// Faults injects chaos-test failures (stalled components, forced panics).
 	// nil — the production value — injects nothing and keeps results
 	// byte-identical to a build without the hooks.
 	Faults *chaos.Faults

@@ -102,6 +102,29 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
+// The stepper ticks every partition on every visited tick, but an SM
+// only when its wakeup comes due, under a warp-aware and a baseline
+// transaction scheduler alike.
+func TestEngineTicksPartitionsEveryCycleSMsOnWake(t *testing.T) {
+	for _, sched := range []string{"wg-w", "gmc"} {
+		cfg := smallConfig(sched)
+		sys, err := NewSystem(cfg, synthWorkload(cfg, 5, 8))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sys.Run(); err != nil {
+			t.Fatalf("%s: %v", sched, err)
+		}
+		e := sys.Engine
+		if want := e.VisitedTicks * int64(cfg.NumChannels); e.PartTicks != want {
+			t.Fatalf("%s: PartTicks = %d, want VisitedTicks × NumChannels = %d", sched, e.PartTicks, want)
+		}
+		if all := e.VisitedTicks * int64(cfg.NumSMs); e.SMTicks >= all {
+			t.Fatalf("%s: SMTicks = %d, want < VisitedTicks × NumSMs = %d", sched, e.SMTicks, all)
+		}
+	}
+}
+
 // Writes generated by stores must reach DRAM via L2 dirty evictions.
 func TestStoresReachDRAM(t *testing.T) {
 	cfg := smallConfig("gmc")

@@ -42,12 +42,6 @@ type partition struct {
 	// write-backs come from it.
 	pool *memreq.Pool
 
-	// didWork records whether the last Tick made observable progress: an
-	// O(1) "probably busy next tick too" signal that lets NextWakeup skip
-	// the controller/channel scans on active streaks (spuriously early at
-	// streak end, which the wakeup contract allows).
-	didWork bool
-
 	mapper    *addrmap.Mapper
 	mshrCap   int
 	l2Lat     int64
@@ -157,7 +151,6 @@ func (p *partition) process(r *memreq.Request, now int64) bool {
 
 // Tick advances the partition one cycle.
 func (p *partition) Tick(now int64) {
-	p.didWork = false
 	// Retry buffered dirty evictions first: they must not be lost.
 	for p.evictHead < len(p.evictQ) {
 		if !p.ctl.AcceptWrite(p.evictQ[p.evictHead], now) {
@@ -165,7 +158,6 @@ func (p *partition) Tick(now int64) {
 		}
 		p.evictQ[p.evictHead] = nil
 		p.evictHead++
-		p.didWork = true
 	}
 	if p.evictHead == len(p.evictQ) {
 		p.evictQ = p.evictQ[:0]
@@ -180,53 +172,20 @@ func (p *partition) Tick(now int64) {
 				p.pipe = p.pipe[:0]
 				p.pipeHead = 0
 			}
-			p.didWork = true
 		}
 	}
 	// Pull new work from the crossbar.
 	if len(p.pipe)-p.pipeHead < p.pipeCap {
 		if req := p.x.PopPart(p.id, now); req != nil {
 			p.pipe = append(p.pipe, pipeEntry{req, now + p.l2Lat})
-			p.didWork = true
 		}
 	}
 	if p.ws != nil {
 		p.ws.PollCoordination(now)
 	}
-	cmd := p.ctl.Tick(now)
-	if cmd != nil {
-		p.didWork = true
-	}
-	if cmd != nil && p.probe != nil {
+	if cmd := p.ctl.Tick(now); cmd != nil && p.probe != nil {
 		p.emitCommand(cmd, now)
 	}
-}
-
-// NextWakeup returns the earliest tick strictly after now at which Tick
-// could do real work, assuming no new crossbar arrivals (covered by
-// Xbar.ReqWake) and no coordination deliveries (covered by
-// coordnet.NextDue). A buffered eviction retries the write queue every
-// tick; a ready (possibly stalled) pipe head is re-processed every
-// tick; otherwise the partition sleeps until the pipe head matures or
-// the controller/channel can act.
-func (p *partition) NextWakeup(now int64) int64 {
-	if p.didWork {
-		return now + 1
-	}
-	w := p.ctl.NextWakeup(now)
-	if len(p.evictQ)-p.evictHead > 0 && now+1 < w {
-		w = now + 1
-	}
-	if len(p.pipe)-p.pipeHead > 0 {
-		head := p.pipe[p.pipeHead].readyAt
-		if head <= now {
-			head = now + 1
-		}
-		if head < w {
-			w = head
-		}
-	}
-	return w
 }
 
 // emitCommand translates one issued DRAM command into a trace event.

@@ -392,10 +392,7 @@ func (e *stepper) fastForward(cal calibration, H, F, drainStart int64, rng *stat
 			e.live--
 		}
 	}
-	for ch := range s.parts {
-		e.pWake[ch] = end
-	}
-	e.smBase, e.partBase = end, end
+	e.smBase = end
 	if e.nextSample >= 0 && e.nextSample <= end {
 		e.nextSample = end + s.Tel.Sampler.Every
 	}

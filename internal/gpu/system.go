@@ -120,8 +120,10 @@ type System struct {
 // EngineStats counts the work the simulation engine actually performed.
 // VisitedTicks is the number of ticks the stepper executed (the sampled
 // engine's modeled regions are not stepped); SMTicks and PartTicks count
-// component-tick executions, so their ratio to VisitedTicks is the
-// component-skipping win. scripts/bench reports them per workload.
+// component-tick executions. SMs sleep between wakeups, so SMTicks over
+// VisitedTicks is the SM-skipping win; every partition ticks on every
+// visited tick, so PartTicks is VisitedTicks × NumChannels unless a
+// chaos fault holds one asleep. scripts/bench reports them per workload.
 type EngineStats struct {
 	VisitedTicks int64
 	SMTicks      int64
@@ -300,8 +302,8 @@ func (s *System) Run() (Results, error) {
 func (s *System) Now() int64 { return s.now }
 
 // stepper is the one tick loop. It advances time one tick at a time
-// and, at each tick, ticks exactly the components whose wakeup bound
-// has come due, in fixed component order. Invariant: a component-tick
+// and, at each tick, ticks the SMs whose wakeup bound has come due and
+// then every partition, in fixed component order. Invariant: an SM tick
 // is skipped only when the wakeup contracts prove that ticking it would
 // be a no-op (modulo the SM idle counters, which CatchUp batches), so
 // by induction over ticks the state matches a loop that ticks every
@@ -312,17 +314,13 @@ type stepper struct {
 	smWake []int64 // zero: every SM is runnable at tick 0
 	smLast []int64 // last tick the SM actually ticked
 	smDone []bool
-	pWake  []int64
-	// smBase is the exact min over smWake (SM-internal wakeups);
-	// partBase the exact min over pWake and coordination-message dues.
-	// Crossbar traffic is covered by the xbar's own maintained minima,
-	// so deciding whether any component needs this tick is a handful of
-	// compares — the per-component scans run only when their trigger
-	// fires.
-	smBase   int64
-	partBase int64
-	now      int64
-	live     int
+	// smBase is the exact min over smWake (SM-internal wakeups).
+	// Responses are covered by the crossbar's own maintained minimum, so
+	// deciding whether any SM needs this tick is two compares — the
+	// per-SM scan runs only when one fires.
+	smBase int64
+	now    int64
+	live   int
 
 	doneTick int64
 	stall    *guard.StallError
@@ -343,7 +341,6 @@ func (s *System) newStepper() *stepper {
 		smWake:     make([]int64, len(s.sms)),
 		smLast:     make([]int64, len(s.sms)),
 		smDone:     make([]bool, len(s.sms)),
-		pWake:      make([]int64, len(s.parts)),
 		doneTick:   -1,
 		wd:         s.newWatchdog(),
 		f:          s.Cfg.Faults,
@@ -384,7 +381,7 @@ func (e *stepper) stepUntil(limit int64, stopQuiescent bool) {
 				if rw := s.x.RespWake(i); rw < eff {
 					eff = rw
 				}
-				// A comatose component models a late NextWakeup answer:
+				// A comatose SM models a late NextWakeup answer:
 				// its due tick passes unserved. Leaving smWake stale
 				// (<= now) keeps it due every tick so the watchdog, not
 				// a hang, reports it.
@@ -406,39 +403,14 @@ func (e *stepper) stepUntil(limit int64, stopQuiescent bool) {
 				}
 			}
 		}
-		if now >= e.partBase || now >= s.x.MinReqWake() {
-			for ch, p := range s.parts {
-				eff := e.pWake[ch]
-				if rw := s.x.ReqWake(ch); rw < eff {
-					eff = rw
-				}
-				if s.net != nil {
-					if nd := s.net.NextDue(ch); nd < eff {
-						eff = nd
-					}
-				}
-				if eff > now || e.f.Asleep(chaos.TargetPartition, ch, now) {
-					continue
-				}
-				s.Engine.PartTicks++
-				p.Tick(now)
-				e.pWake[ch] = p.NextWakeup(now)
+		// Partitions tick every cycle, as in the dense loop; a comatose
+		// one (chaos) stops ticking, so the watchdog must report it.
+		for ch, p := range s.parts {
+			if e.f.Asleep(chaos.TargetPartition, ch, now) {
+				continue
 			}
-			// Recompute partBase in a second pass: a partition ticked late
-			// in the loop may have broadcast a coordination message due at
-			// an earlier-indexed partition.
-			e.partBase = bigTick
-			for ch := range s.parts {
-				b := e.pWake[ch]
-				if s.net != nil {
-					if nd := s.net.NextDue(ch); nd < b {
-						b = nd
-					}
-				}
-				if b < e.partBase {
-					e.partBase = b
-				}
-			}
+			s.Engine.PartTicks++
+			p.Tick(now)
 		}
 		if now == e.nextSample {
 			// Idle accounting must be current through this tick before

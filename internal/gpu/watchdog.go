@@ -119,15 +119,11 @@ func (s *System) stallError(kind string, now, budget int64) *guard.StallError {
 
 // stallDump snapshots the stalled system: the per-SM blocked-warp
 // table, per-channel queue occupancies, per-bank DRAM state and the
-// pending wakeups. NextWakeup values are best-effort — outside the
+// SMs' pending wakeups. NextWakeup values are best-effort — outside the
 // engines' right-after-Tick contract they may be stale bounds — but the
 // occupancy and blocked-warp columns are exact.
 func (s *System) stallDump(now int64) guard.StallDump {
-	d := guard.StallDump{
-		Cycle:        now,
-		XbarReqWake:  s.x.MinReqWake(),
-		XbarRespWake: s.x.MinRespWake(),
-	}
+	d := guard.StallDump{Cycle: now, XbarRespWake: s.x.MinRespWake()}
 	for i, c := range s.sms {
 		st := guard.SMState{ID: i, ReplayQueue: c.ReplayLen(), NextWakeup: c.NextWakeup(now)}
 		for _, w := range c.Warps() {
@@ -150,7 +146,6 @@ func (s *System) stallDump(now int64) guard.StallDump {
 			Draining:     p.ctl.Draining(),
 			L2Pipe:       len(p.pipe),
 			EvictQ:       len(p.evictQ),
-			NextWakeup:   p.NextWakeup(now),
 		}
 		if s.net != nil {
 			cs.CoordPending = s.net.PendingFor(ch)

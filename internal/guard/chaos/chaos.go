@@ -1,6 +1,7 @@
 // Package chaos injects faults into the simulator for hardening tests:
-// a component whose NextWakeup contract goes "too late" (so the
-// liveness watchdog must trip instead of the run hanging), a forced
+// a component that stops ticking, such as an SM whose NextWakeup answer
+// goes "too late" (so the liveness watchdog must trip instead of the
+// run hanging), a forced
 // panic mid-run (so the façade's recover must convert it into a
 // RunError), and seeded on-disk corruption (so the sweep cache's
 // checksum verification must quarantine the entry).
@@ -28,14 +29,14 @@ const (
 // nil) injects nothing.
 type Faults struct {
 	// WakeTarget/WakeIndex name one component ("sm" or "partition" plus
-	// its index) whose NextWakeup answer turns "too late" from sim tick
-	// WakeAfter on: the engine treats the component as asleep — exactly
-	// what a wakeup-contract violation looks like from the outside — for
-	// WakeDelay ticks (<= 0 means forever). Under the event-driven
-	// engine this models a late NextWakeup answer; under the dense
-	// reference engine, where no wakeups exist, the same fault gates the
-	// component's Tick so both engines exhibit the identical hang for
-	// the watchdog to catch.
+	// its index) that stops ticking from sim tick WakeAfter on, for
+	// WakeDelay ticks (<= 0 means forever). For an SM under the
+	// event-driven engine this models a late NextWakeup answer — exactly
+	// what a wakeup-contract violation looks like from the outside. A
+	// partition has no wakeup: both engines tick it every cycle, so the
+	// fault simply gates its Tick. Under the dense reference engine,
+	// where no wakeups exist, the fault gates the SM's Tick too, so both
+	// engines exhibit the identical hang for the watchdog to catch.
 	WakeTarget string
 	WakeIndex  int
 	WakeAfter  int64

@@ -178,10 +178,9 @@ type StallDump struct {
 	SMs      []SMState
 	Channels []ChannelState
 
-	// Crossbar wakeup minima: the earliest tick any partition-bound
-	// request / SM-bound response becomes deliverable (guard.Never when
-	// none is queued).
-	XbarReqWake  int64
+	// XbarRespWake is the crossbar's wakeup minimum: the earliest tick
+	// any SM-bound response becomes deliverable (guard.Never when none
+	// is queued).
 	XbarRespWake int64
 }
 
@@ -208,7 +207,6 @@ type ChannelState struct {
 	L2Pipe       int // L2 lookup-pipeline occupancy
 	EvictQ       int // dirty write-backs awaiting the write queue
 	CoordPending int // undelivered coordination messages (wg-m and up)
-	NextWakeup   int64
 	Banks        []BankState
 }
 
@@ -250,8 +248,8 @@ func fmtWake(w int64) string {
 // DRAM state, with fully idle rows elided.
 func (d StallDump) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "stall dump @ cycle %d: %d live warps (%d blocked), xbar req wake %s resp wake %s\n",
-		d.Cycle, d.LiveWarps(), d.BlockedWarps(), fmtWake(d.XbarReqWake), fmtWake(d.XbarRespWake))
+	fmt.Fprintf(&b, "stall dump @ cycle %d: %d live warps (%d blocked), xbar resp wake %s\n",
+		d.Cycle, d.LiveWarps(), d.BlockedWarps(), fmtWake(d.XbarRespWake))
 	b.WriteString("  sm    live blocked replay wakeup\n")
 	for _, s := range d.SMs {
 		if s.LiveWarps == 0 && s.ReplayQueue == 0 {
@@ -259,10 +257,10 @@ func (d StallDump) String() string {
 		}
 		fmt.Fprintf(&b, "  sm%-3d %4d %7d %6d %s\n", s.ID, s.LiveWarps, s.Blocked, s.ReplayQueue, fmtWake(s.NextWakeup))
 	}
-	b.WriteString("  chan  readq writeq sched pipe evict coord drain wakeup\n")
+	b.WriteString("  chan  readq writeq sched pipe evict coord drain\n")
 	for _, c := range d.Channels {
-		fmt.Fprintf(&b, "  ch%-3d %5d %6d %5d %4d %5d %5d %5v %s\n",
-			c.Channel, c.ReadQ, c.WriteQ, c.SchedPending, c.L2Pipe, c.EvictQ, c.CoordPending, c.Draining, fmtWake(c.NextWakeup))
+		fmt.Fprintf(&b, "  ch%-3d %5d %6d %5d %4d %5d %5d %5v\n",
+			c.Channel, c.ReadQ, c.WriteQ, c.SchedPending, c.L2Pipe, c.EvictQ, c.CoordPending, c.Draining)
 		for _, bank := range c.Banks {
 			if bank.QueuedTxns == 0 {
 				continue

@@ -64,10 +64,10 @@ func TestStallErrorMessages(t *testing.T) {
 			{ID: 1}, // retired: elided from the rendering
 		},
 		Channels: []ChannelState{{
-			Channel: 0, ReadQ: 4, Draining: true, NextWakeup: 123,
+			Channel: 0, ReadQ: 4, Draining: true,
 			Banks: []BankState{{Bank: 2, QueuedTxns: 3, OpenRow: 17, SchedRow: 17}},
 		}},
-		XbarReqWake: Never, XbarRespWake: 42,
+		XbarRespWake: 42,
 	}
 	if dump.LiveWarps() != 3 || dump.BlockedWarps() != 2 {
 		t.Fatalf("totals: live=%d blocked=%d", dump.LiveWarps(), dump.BlockedWarps())

@@ -73,12 +73,6 @@ func (g *GMC) NextRead(now int64) *memreq.Request {
 	return nil
 }
 
-// NextWakeup implements Scheduler: the GMC dispatches whenever any bank
-// has both pending streams and command-queue space; the age threshold
-// only changes which stream wins at a dispatch tick, so a bank-gated
-// scheduler is woken by the channel's own wakeup.
-func (g *GMC) NextWakeup(now int64) int64 { return g.rs.NextWakeup(g.ctl.Chan, now) }
-
 func (g *GMC) pickStream(bank int, now int64) *stream {
 	active := g.rs.StreamFor(bank, g.ctl.Chan.SchedRow(bank))
 	oldest := g.rs.OldestStream(bank)
@@ -136,14 +130,4 @@ func (f *FCFS) NextRead(int64) *memreq.Request {
 	r := f.q[0]
 	f.q = f.q[1:]
 	return r
-}
-
-// NextWakeup implements Scheduler: the head of line either dispatches
-// next tick or waits on its bank's command queue (a full bank implies a
-// finite channel wakeup, which re-evaluates this).
-func (f *FCFS) NextWakeup(now int64) int64 {
-	if len(f.q) > 0 && f.ctl.Chan.CanAccept(f.q[0].Bank) {
-		return now + 1
-	}
-	return Never
 }

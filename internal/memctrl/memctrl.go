@@ -46,18 +46,7 @@ type Scheduler interface {
 	NextRead(now int64) *memreq.Request
 	// Pending returns the number of reads held by the scheduler.
 	Pending() int
-	// NextWakeup returns the earliest tick strictly after now at which
-	// NextRead could return a request or otherwise mutate scheduler
-	// state, assuming no new input arrives first (no enqueues, no group
-	// credits, no DRAM state change — bank-gated dispatchability is
-	// covered by the channel's own wakeup). Never means quiescent until
-	// external input. Early wakeups are harmless; late ones break the
-	// event-driven/dense equivalence.
-	NextWakeup(now int64) int64
 }
-
-// Never is the wakeup-contract sentinel shared with dram.Never.
-const Never = dram.Never
 
 // DrainObserver is implemented by schedulers that want to observe write
 // drains beginning (used for the Fig 12 accounting in the WG schedulers).
@@ -400,40 +389,6 @@ func (ctl *Controller) Tick(now int64) *dram.Command {
 		}
 	}
 	return ctl.Chan.Tick(now)
-}
-
-// NextWakeup returns the earliest tick strictly after now at which Tick
-// could do anything beyond a no-op pass, assuming no new requests are
-// accepted before then. The drain state machine steps densely (its
-// DrainTicks accounting is per-tick); otherwise the wakeup is the min of
-// the channel's command-legal tick, the write-age drain trigger, and the
-// scheduler's own wakeup.
-func (ctl *Controller) NextWakeup(now int64) int64 {
-	if ctl.draining {
-		return now + 1
-	}
-	if ctl.Writes == Interleaved && (ctl.readCount > 0 || ctl.WriteOccupancy() > 0) {
-		// Interleaved mode arbitrates reads vs writes every cycle.
-		return now + 1
-	}
-	w := ctl.Chan.NextWakeup(now)
-	if ctl.WriteOccupancy() > 0 {
-		if ctl.readCount == 0 && ctl.Chan.Idle() {
-			return now + 1 // the idle-drain trigger fires on the next tick
-		}
-		if ctl.WriteAgeDrain > 0 {
-			if age := ctl.writeQ[ctl.wqHead].Arrive + ctl.WriteAgeDrain + 1; age < w {
-				w = age
-			}
-		}
-	}
-	if s := ctl.Sched.NextWakeup(now); s < w {
-		w = s
-	}
-	if w <= now {
-		return now + 1
-	}
-	return w
 }
 
 // Idle reports whether the controller holds no work at all.

@@ -42,17 +42,6 @@ func (p *PARBS) GroupComplete(memreq.GroupID, int64) {}
 // Pending implements Scheduler.
 func (p *PARBS) Pending() int { return len(p.queued) + len(p.batch) }
 
-// NextWakeup implements Scheduler. PAR-BS re-forms its batch inside
-// NextRead (a mutation even when nothing dispatches), so it is stepped
-// densely whenever it holds any request — the conservative bound that
-// keeps batch-formation ticks identical to the dense loop.
-func (p *PARBS) NextWakeup(now int64) int64 {
-	if p.Pending() > 0 {
-		return now + 1
-	}
-	return Never
-}
-
 // formBatch marks up to MarkingCap oldest requests per (warp, bank) and
 // computes the shortest-job-first warp ranking over the marked set.
 func (p *PARBS) formBatch() {
@@ -264,19 +253,6 @@ func (a *ATLAS) GroupComplete(memreq.GroupID, int64) {}
 
 // Pending implements Scheduler.
 func (a *ATLAS) Pending() int { return a.rs.Count() }
-
-// NextWakeup implements Scheduler. Beyond dispatchability, ATLAS
-// mutates shared state at quantum boundaries: the dense loop calls
-// NextRead (and so maybeUpdate) every non-draining tick, so the event
-// loop must visit the controller at the quantum-update tick even when
-// no request is pending.
-func (a *ATLAS) NextWakeup(now int64) int64 {
-	w := a.state.nextUpdate
-	if w <= now {
-		w = now + 1
-	}
-	return min(w, a.rs.NextWakeup(a.ctl.Chan, now))
-}
 
 // NextRead implements Scheduler: priority = (LAS rank, row hit, age).
 func (a *ATLAS) NextRead(now int64) *memreq.Request {

@@ -1,9 +1,6 @@
 package memctrl
 
-import (
-	"dramlat/internal/dram"
-	"dramlat/internal/memreq"
-)
+import "dramlat/internal/memreq"
 
 // stream is one row-hit stream: the FIFO of pending requests to a single
 // <bank,row> tuple (one Row Sorter entry, Section II-C).
@@ -88,19 +85,6 @@ func (rs *RowSorter) OldestStream(bank int) *stream {
 		}
 	}
 	return best
-}
-
-// NextWakeup returns now+1 when some bank holds a pending stream and has
-// command-queue space on ch, and Never otherwise: the sorted schedulers
-// can dispatch exactly then, and a bank that frees up is covered by the
-// channel's own wakeup.
-func (rs *RowSorter) NextWakeup(ch *dram.Channel, now int64) int64 {
-	for bank, streams := range rs.perBank {
-		if len(streams) > 0 && ch.CanAccept(bank) {
-			return now + 1
-		}
-	}
-	return Never
 }
 
 // PopFrom removes and returns the head request of stream s, retiring the

@@ -58,11 +58,6 @@ func (s *SBWAS) GroupComplete(memreq.GroupID, int64) {}
 // Pending implements Scheduler.
 func (s *SBWAS) Pending() int { return s.rs.Count() }
 
-// NextWakeup implements Scheduler. SBWAS runs under the Interleaved
-// write policy, whose controller steps densely whenever any work is
-// buffered, so this only matters for the all-banks-gated case.
-func (s *SBWAS) NextWakeup(now int64) int64 { return s.rs.NextWakeup(s.ctl.Chan, now) }
-
 // shortJobCutoff converts alpha into the maximum number of outstanding
 // requests a warp may have for its request to preempt a row-hit stream.
 func (s *SBWAS) shortJobCutoff() int {

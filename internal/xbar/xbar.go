@@ -90,20 +90,19 @@ type Xbar struct {
 	curSM  []int    // per-partition sticky SM (NoInterleave)
 	rrResp []int    // per-SM partition rotation
 
-	// Wakeup bookkeeping for the event-driven system loop. reqWake and
-	// respWake are lower bounds on the earliest head readyAt of the
-	// queues toward a partition / an SM: min-updated on insert (exact
-	// when the queue was empty), recomputed from the true heads on every
-	// pop attempt. respWake is also lowered when a pop frees a slot in
-	// one of the SM's full request FIFOs (see PopPart). A stale-early
-	// bound only costs a spurious visit.
+	// reqWake and respWake are lower bounds on the earliest head readyAt
+	// of the queues toward a partition / an SM: min-updated on insert
+	// (exact when the queue was empty), recomputed from the true heads on
+	// every pop attempt. reqWake lets arbitrate skip its SM scan; respWake
+	// is the event-driven system loop's SM wakeup, also lowered when a
+	// pop frees a slot in one of the SM's full request FIFOs (see
+	// PopPart). A stale-early bound only costs a spurious scan or visit.
 	reqWake  []int64
 	respWake []int64
-	queuedTo []int // per-partition queued request count (NoInterleave)
-	// minReqWake / minRespWake are the exact minima of reqWake / respWake,
-	// kept current by the same insert/pop maintenance, so the system loop
-	// gets a whole-crossbar wake bound in O(1) per tick.
-	minReqWake  int64
+	queuedTo []int // per-partition queued request count
+	// minRespWake is the exact minimum of respWake, kept current by the
+	// same insert/pop maintenance, so the system loop gets a
+	// whole-crossbar SM wake bound in O(1) per tick.
 	minRespWake int64
 
 	Injected  int64
@@ -125,7 +124,6 @@ func New(numSM, numPart int, latency int64, capPerQueue int) *Xbar {
 		respWake: make([]int64, numSM),
 		queuedTo: make([]int, numPart),
 	}
-	x.minReqWake = never
 	x.minRespWake = never
 	for i := range x.reqWake {
 		x.reqWake[i] = never
@@ -160,9 +158,6 @@ func (x *Xbar) Inject(sm int, req *memreq.Request, now int64) bool {
 	if t < x.reqWake[req.Channel] {
 		x.reqWake[req.Channel] = t
 	}
-	if t < x.minReqWake {
-		x.minReqWake = t
-	}
 	return true
 }
 
@@ -185,7 +180,7 @@ func (x *Xbar) PopPart(part int, now int64) *memreq.Request {
 	}
 	e := q.pop()
 	x.queuedTo[part]--
-	x.recomputeReqWake(part)
+	x.reqWake[part] = x.earliestReq(part)
 	return e.req
 }
 
@@ -225,8 +220,8 @@ func (x *Xbar) arbitrate(part int, now int64) int {
 		}
 	}
 	// Nothing ready: tighten the wake bound to the true earliest head so
-	// the event loop can skip this partition until a request matures.
-	x.recomputeReqWake(part)
+	// later calls skip the scan until a request matures.
+	x.reqWake[part] = x.earliestReq(part)
 	return -1
 }
 
@@ -236,23 +231,17 @@ func (x *Xbar) ready(sm, part int, now int64) bool {
 	return q.len() > 0 && q.front().readyAt <= now
 }
 
-// recomputeReqWake restores the exact per-partition request-wake bound
-// from the queue heads, then the whole-crossbar minimum.
-func (x *Xbar) recomputeReqWake(part int) {
+// earliestReq returns the earliest head readyAt among the FIFOs toward
+// partition part, or never when they are all empty: the exact value of
+// reqWake[part].
+func (x *Xbar) earliestReq(part int) int64 {
 	w := never
 	for sm := 0; sm < x.NumSM; sm++ {
 		if q := &x.toPart[sm][part]; q.len() > 0 && q.front().readyAt < w {
 			w = q.front().readyAt
 		}
 	}
-	x.reqWake[part] = w
-	m := never
-	for i := range x.reqWake {
-		if v := x.reqWake[i]; v < m {
-			m = v
-		}
-	}
-	x.minReqWake = m
+	return w
 }
 
 func (x *Xbar) recomputeRespWake(sm int) {
@@ -272,21 +261,6 @@ func (x *Xbar) recomputeRespWake(sm int) {
 	x.minRespWake = m
 }
 
-// ReqWake returns the earliest tick at which PopPart(part, ·) could
-// return a request, or never when nothing is queued toward part. In
-// NoInterleave mode the partition must be visited every tick while any
-// request is queued: PopPart mutates its sticky-SM arbitration state
-// even on not-ready heads.
-func (x *Xbar) ReqWake(part int) int64 {
-	if x.NoInterleave {
-		if x.queuedTo[part] > 0 {
-			return 0
-		}
-		return never
-	}
-	return x.reqWake[part]
-}
-
 // RespWake returns the earliest tick at which SM sm could see crossbar
 // input: PopResponse(sm, ·) returning a response, or an injection into
 // one of its request FIFOs succeeding after PopPart freed a slot in it.
@@ -299,20 +273,6 @@ func (x *Xbar) RespWake(sm int) int64 { return x.respWake[sm] }
 // MinRespWake returns min over SMs of RespWake — the earliest tick any
 // SM could receive a response or a freed request slot.
 func (x *Xbar) MinRespWake() int64 { return x.minRespWake }
-
-// MinReqWake returns min over partitions of ReqWake — the earliest tick
-// any partition could receive a request.
-func (x *Xbar) MinReqWake() int64 {
-	if x.NoInterleave {
-		for i := range x.queuedTo {
-			if x.queuedTo[i] > 0 {
-				return 0
-			}
-		}
-		return never
-	}
-	return x.minReqWake
-}
 
 // Respond sends a response from partition part back to the request's SM.
 // The response path is modeled with latency but without back-pressure (the

@@ -12,8 +12,10 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
+	"math/rand/v2"
 	"os"
 	"path/filepath"
+	"strconv"
 )
 
 // Writer buffers output destined for a file or stdout. The zero value
@@ -48,7 +50,9 @@ func (w *Writer) Write(p []byte) (int, error) {
 // atomic temp-file + rename next to the resolved path, fsynced so the
 // artifact survives power loss — the file before the rename, the
 // containing directory after it (the rename itself lives in directory
-// metadata). Calling Commit twice is an error; a writer that is never
+// metadata). The renamed file has the mode os.Create would give a new
+// file (0666 less the umask), or the permission bits of the regular file
+// it replaces. Calling Commit twice is an error; a writer that is never
 // committed writes nothing.
 func (w *Writer) Commit() error {
 	if w.committed {
@@ -65,15 +69,22 @@ func (w *Writer) Commit() error {
 	} else if err != nil {
 		return fmt.Errorf("atomicio: %w", err)
 	}
-	if fi, err := os.Stat(path); err == nil && !fi.Mode().IsRegular() {
+	fi, statErr := os.Stat(path)
+	if statErr == nil && !fi.Mode().IsRegular() {
 		return writeInPlace(path, w.buf.Bytes())
 	}
 	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
+	tmp, err := createTemp(dir, filepath.Base(path))
 	if err != nil {
 		return fmt.Errorf("atomicio: %w", err)
 	}
-	if _, err := tmp.Write(w.buf.Bytes()); err != nil {
+	if statErr == nil {
+		err = tmp.Chmod(fi.Mode().Perm())
+	}
+	if err == nil {
+		_, err = tmp.Write(w.buf.Bytes())
+	}
+	if err != nil {
 		tmp.Close()
 		os.Remove(tmp.Name())
 		return fmt.Errorf("atomicio: %w", err)
@@ -92,6 +103,19 @@ func (w *Writer) Commit() error {
 		return fmt.Errorf("atomicio: %w", err)
 	}
 	return syncDir(dir)
+}
+
+// createTemp creates a new file next to the destination, as
+// os.CreateTemp does but with mode 0666 less the umask, the mode
+// os.Create gives (os.CreateTemp's is 0600).
+func createTemp(dir, base string) (*os.File, error) {
+	for {
+		name := filepath.Join(dir, base+".tmp"+strconv.FormatUint(uint64(rand.Uint32()), 10))
+		f, err := os.OpenFile(name, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o666)
+		if !errors.Is(err, fs.ErrExist) {
+			return f, err
+		}
+	}
 }
 
 // writeInPlace writes b to an existing non-regular file with one Write.

@@ -123,6 +123,70 @@ func TestCommitThroughSymlink(t *testing.T) {
 	}
 }
 
+// TestCommitFileModes checks that a committed file gets the mode os.Create
+// would give it when new, and keeps the permission bits of the regular
+// file it replaces, directly or through a symlink.
+func TestCommitFileModes(t *testing.T) {
+	dir := t.TempDir()
+	commit := func(path string) {
+		t.Helper()
+		w := Create(path)
+		w.Write([]byte("new"))
+		if err := w.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mode := func(path string) os.FileMode {
+		t.Helper()
+		fi, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi.Mode().Perm()
+	}
+
+	ref, err := os.Create(filepath.Join(dir, "ref"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref.Close()
+	fresh := filepath.Join(dir, "fresh.json")
+	commit(fresh)
+	if got, want := mode(fresh), mode(ref.Name()); got != want {
+		t.Errorf("new file mode %v, os.Create gives %v", got, want)
+	}
+
+	for _, perm := range []os.FileMode{0o644, 0o640, 0o604} {
+		old := filepath.Join(dir, "old.json")
+		if err := os.WriteFile(old, []byte("old"), 0o600); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Chmod(old, perm); err != nil {
+			t.Fatal(err)
+		}
+		commit(old)
+		if got := mode(old); got != perm {
+			t.Errorf("replaced %v file: mode %v", perm, got)
+		}
+	}
+
+	target := filepath.Join(dir, "target.json")
+	if err := os.WriteFile(target, []byte("old"), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chmod(target, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	link := filepath.Join(dir, "link.json")
+	if err := os.Symlink("target.json", link); err != nil {
+		t.Fatal(err)
+	}
+	commit(link)
+	if got := mode(target); got != 0o644 {
+		t.Errorf("symlink target mode %v, want -rw-r--r--", got)
+	}
+}
+
 func TestCommitToFIFOWritesInPlace(t *testing.T) {
 	fifo := filepath.Join(t.TempDir(), "pipe")
 	if err := syscall.Mkfifo(fifo, 0o600); err != nil {

@@ -55,20 +55,6 @@ type group struct {
 	// blocker and the group takes absolute priority.
 	channels   int
 	remoteMask uint32
-
-	// Score cache: the raw (pre-WG-M-boost) completion-time score and
-	// row-hit count last computed for this group. It stays valid while
-	// cacheValid is set and every bank in cacheMask still has the
-	// SchedVersion recorded in cacheVers. The group's own pending-set
-	// changes (enqueue, dispatch) clear cacheValid directly; changes to
-	// bank state from other groups' traffic are caught by the version
-	// comparison. The WG-M boost depends on now, so it is applied after
-	// the cache on every read.
-	cacheValid bool
-	cacheMask  uint32
-	cacheScore int
-	cacheHits  int
-	cacheVers  [32]uint32
 }
 
 // soleBlocker reports that every other controller already serviced its
@@ -143,10 +129,6 @@ type WarpScheduler struct {
 	// NoOrphanControl is an ablation: disable the orphan-control rule of
 	// Section IV-D (row misses may strand 1-2 row hits behind them).
 	NoOrphanControl bool
-	// noScoreCache disables the incremental warp-group score cache and
-	// recomputes every score from live bank state. The cache is exact, so
-	// only the differential property tests set it.
-	noScoreCache bool
 
 	// Probe receives MERB streak begin/end trace events; nil disables
 	// tracing (one branch per event site).
@@ -280,7 +262,6 @@ func (w *WarpScheduler) OnEnqueue(r *memreq.Request, now int64) {
 		w.order = append(w.order, g)
 	}
 	g.pending = append(g.pending, r)
-	g.cacheValid = false
 	if int(r.GroupChannels) > g.channels {
 		g.channels = int(r.GroupChannels)
 	}
@@ -392,6 +373,8 @@ func (w *WarpScheduler) score(g *group, now int64) int {
 	return s
 }
 
+// scoreAndHits returns the group's score and its projected row-hit count,
+// both read from live bank state on every call.
 func (w *WarpScheduler) scoreAndHits(g *group, now int64) (score, hits int) {
 	if w.CountScore {
 		// Ablation: shortest-request-count-first, blind to bank state.
@@ -404,41 +387,6 @@ func (w *WarpScheduler) scoreAndHits(g *group, now int64) (score, hits int) {
 		}
 		return s, 0
 	}
-	if w.noScoreCache || !w.scoreCacheValid(g) {
-		w.refreshScoreCache(g)
-	}
-	max := g.cacheScore
-	if g.boosted(now) {
-		max -= g.scoreAdj
-	}
-	if max < 0 {
-		max = 0
-	}
-	return max, g.cacheHits
-}
-
-// scoreCacheValid reports whether g's cached raw score still reflects the
-// live bank state: the group's pending set is unchanged and every touched
-// bank's SchedVersion matches the snapshot.
-func (w *WarpScheduler) scoreCacheValid(g *group) bool {
-	if !g.cacheValid {
-		return false
-	}
-	ch := w.ctl.Chan
-	for m := g.cacheMask; m != 0; m &= m - 1 {
-		b := bits.TrailingZeros32(m)
-		if ch.SchedVersion(b) != g.cacheVers[b] {
-			return false
-		}
-	}
-	return true
-}
-
-// refreshScoreCache recomputes g's raw (pre-boost) completion-time score
-// and row-hit count from live bank state (the brute-force walk the
-// scheduler previously did on every comparison) and snapshots the touched
-// banks' versions so the result can be reused until something changes.
-func (w *WarpScheduler) refreshScoreCache(g *group) {
 	type acc struct {
 		row   int
 		total int
@@ -446,7 +394,6 @@ func (w *WarpScheduler) refreshScoreCache(g *group) {
 	var banks [32]acc // NumBanks <= 32 in all configurations
 	var touched uint32
 	ch := w.ctl.Chan
-	hits := 0
 	for _, r := range g.pending {
 		if r.Dispatched {
 			continue
@@ -454,7 +401,6 @@ func (w *WarpScheduler) refreshScoreCache(g *group) {
 		b := r.Bank
 		if bit := uint32(1) << uint(b); touched&bit == 0 {
 			banks[b] = acc{row: ch.SchedRow(b), total: ch.QueuedScore(b)}
-			g.cacheVers[b] = ch.SchedVersion(b)
 			touched |= bit
 		}
 		if banks[b].row == r.Row {
@@ -465,16 +411,18 @@ func (w *WarpScheduler) refreshScoreCache(g *group) {
 			banks[b].row = r.Row
 		}
 	}
-	max := 0
 	for m := touched; m != 0; m &= m - 1 {
-		if t := banks[bits.TrailingZeros32(m)].total; t > max {
-			max = t
+		if t := banks[bits.TrailingZeros32(m)].total; t > score {
+			score = t
 		}
 	}
-	g.cacheMask = touched
-	g.cacheScore = max
-	g.cacheHits = hits
-	g.cacheValid = true
+	if g.boosted(now) {
+		score -= g.scoreAdj
+	}
+	if score < 0 {
+		score = 0
+	}
+	return score, hits
 }
 
 // selectGroup picks the next warp-group to service: the completed group
@@ -705,7 +653,6 @@ func (w *WarpScheduler) dispatch(r *memreq.Request) *memreq.Request {
 			break
 		}
 	}
-	g.cacheValid = false
 	g.dispatched++
 	r.Dispatched = true
 	w.count--

@@ -127,12 +127,6 @@ type Channel struct {
 	queuedTxns   []int32
 	queuedScore  []int32 // WG score units (1 per projected hit, 3 per miss)
 	hitsSinceAct []int32 // 64B bursts scheduled since the last scheduled ACT
-	// schedVer increments whenever any scheduler-visible bank state above
-	// (schedRow, queuedScore, hitsSinceAct) changes: on Enqueue, on a
-	// transaction's last burst retiring, and on refresh. Warp-group score
-	// caches (internal/core) compare snapshots of it to decide whether a
-	// cached score is still valid.
-	schedVer []uint32
 
 	// queues are the per-bank in-order command queues, head-indexed so a
 	// pop never re-slices capacity away.
@@ -184,9 +178,9 @@ type Channel struct {
 	// WakeCache lets Tick skip the bank scan outright while now is before
 	// cmdWake, a cached lower bound on the next tick any command can
 	// issue (recomputed on idle ticks, zeroed by every state mutation).
-	// Off in the dense reference engine so its Tick stays the pristine
-	// differential oracle; the cache's own contract is covered by
-	// TestNextWakeupNeverLate.
+	// Off in the dense oracle (gpu.System.RunDense) so its Tick stays
+	// pristine for differential tests; the cache's own contract is
+	// covered by TestNextWakeupNeverLate.
 	WakeCache bool
 	cmdWake   int64
 
@@ -211,7 +205,6 @@ func NewChannel(t gddr5.Timing, numBanks, groups, queueCap int) *Channel {
 		queuedTxns:   make([]int32, numBanks),
 		queuedScore:  make([]int32, numBanks),
 		hitsSinceAct: make([]int32, numBanks),
-		schedVer:     make([]uint32, numBanks),
 		queues:       make([][]Command, numBanks),
 		qHead:        make([]int32, numBanks),
 		lastCASGroup: make([]int64, groups),
@@ -356,7 +349,6 @@ func (c *Channel) maybeRefresh(now int64) bool {
 		c.schedRow[i] = -1
 		c.actOK[i] = now + c.trfc
 		c.hitsSinceAct[i] = 0
-		c.schedVer[i]++
 	}
 	c.Stats.Refreshes++
 	c.refreshDue = false
@@ -383,12 +375,6 @@ func (c *Channel) QueuedScore(b int) int { return int(c.queuedScore[b]) }
 // HitsSinceAct returns the number of 64B row-hit bursts scheduled to bank b
 // since its last scheduled activate: the MERB counter of Section IV-D.
 func (c *Channel) HitsSinceAct(b int) int { return int(c.hitsSinceAct[b]) }
-
-// SchedVersion returns a counter that changes whenever bank b's
-// scheduler-visible state (SchedRow, QueuedScore, HitsSinceAct) changes.
-// Score caches snapshot it to detect staleness without subscribing to
-// individual mutations.
-func (c *Channel) SchedVersion(b int) uint32 { return c.schedVer[b] }
 
 // BanksWithQueuedWork counts banks with at least one queued transaction.
 func (c *Channel) BanksWithQueuedWork() int {
@@ -471,7 +457,6 @@ func (c *Channel) Enqueue(r *memreq.Request) *Transaction {
 	txn := c.newTxn(r)
 	txn.CASTotal = casPerTxn
 
-	c.schedVer[b]++
 	if c.schedRow[b] == int32(r.Row) {
 		txn.Hit = true
 		c.queuedScore[b]++
@@ -705,7 +690,6 @@ func (c *Channel) finishBurst(cmd *Command, dataEnd int64) {
 			score = 3
 		}
 		c.queuedScore[b] -= score
-		c.schedVer[b]++
 		if c.OnComplete != nil {
 			c.OnComplete(txn, dataEnd)
 		}

@@ -9,15 +9,19 @@ import (
 )
 
 // TestSoABankStateMatchesShadow cross-checks the flattened per-bank state
-// against an independent shadow model fed only by the channel's observable
-// outputs (issued commands and completion callbacks), over randomized
-// traffic:
+// against an independent shadow model fed only by the channel's inputs
+// (enqueued requests) and observable outputs (issued commands and
+// completion callbacks), over randomized traffic, on every tick:
 //
 //   - OpenRow must track exactly the ACT/PRE command stream;
 //   - QueuedTxns must equal enqueues minus completions per bank;
-//   - SchedVersion must change whenever any scheduler-visible bank triple
-//     (SchedRow, QueuedScore, HitsSinceAct) changes — the staleness
-//     contract the warp-scheduler score cache depends on.
+//   - SchedRow must be the row of the bank's last projected miss;
+//   - QueuedScore must sum 1 per projected hit and 3 per projected miss
+//     over the bank's uncompleted transactions;
+//   - HitsSinceAct must count the bursts enqueued since the bank's last
+//     projected miss (two per transaction, the miss's own included).
+//
+// The warp scheduler reads the last three on every group score.
 func TestSoABankStateMatchesShadow(t *testing.T) {
 	const banks = 16
 	rng := rand.New(rand.NewSource(42))
@@ -25,20 +29,19 @@ func TestSoABankStateMatchesShadow(t *testing.T) {
 
 	shadowOpen := make([]int, banks)
 	shadowQueued := make([]int, banks)
+	shadowRow := make([]int, banks)
+	shadowScore := make([]int, banks)
+	shadowHits := make([]int, banks)
+	txnScore := map[uint64]int{} // request ID -> its projected score
 	for b := range shadowOpen {
 		shadowOpen[b] = -1
+		shadowRow[b] = -1
 	}
 	c.OnComplete = func(txn *Transaction, at int64) {
-		shadowQueued[txn.Req.Bank]--
-	}
-
-	type triple struct {
-		row, score, hits int
-		ver              uint32
-	}
-	prev := make([]triple, banks)
-	for b := range prev {
-		prev[b] = triple{row: c.SchedRow(b), score: c.QueuedScore(b), hits: c.HitsSinceAct(b), ver: c.SchedVersion(b)}
+		b := txn.Req.Bank
+		shadowQueued[b]--
+		shadowScore[b] -= txnScore[txn.Req.ID]
+		delete(txnScore, txn.Req.ID)
 	}
 
 	var id uint64
@@ -47,11 +50,21 @@ func TestSoABankStateMatchesShadow(t *testing.T) {
 			b := rng.Intn(banks)
 			if c.CanAccept(b) {
 				id++
+				row := rng.Intn(8)
 				c.Enqueue(&memreq.Request{
 					ID: id, Kind: memreq.Kind(rng.Intn(2)),
-					Bank: b, Row: rng.Intn(8), Col: rng.Intn(64) * 2,
+					Bank: b, Row: row, Col: rng.Intn(64) * 2,
 				})
 				shadowQueued[b]++
+				if shadowRow[b] == row {
+					txnScore[id] = 1
+					shadowHits[b] += 2
+				} else {
+					txnScore[id] = 3
+					shadowHits[b] = 2
+					shadowRow[b] = row
+				}
+				shadowScore[b] += txnScore[id]
 			}
 		}
 		if cmd := c.Tick(now); cmd != nil {
@@ -63,18 +76,20 @@ func TestSoABankStateMatchesShadow(t *testing.T) {
 			}
 		}
 		for b := 0; b < banks; b++ {
-			if got := c.OpenRow(b); got != shadowOpen[b] {
-				t.Fatalf("t=%d bank %d: OpenRow=%d, shadow %d", now, b, got, shadowOpen[b])
+			for _, f := range []struct {
+				name      string
+				got, want int
+			}{
+				{"OpenRow", c.OpenRow(b), shadowOpen[b]},
+				{"QueuedTxns", c.QueuedTxns(b), shadowQueued[b]},
+				{"SchedRow", c.SchedRow(b), shadowRow[b]},
+				{"QueuedScore", c.QueuedScore(b), shadowScore[b]},
+				{"HitsSinceAct", c.HitsSinceAct(b), shadowHits[b]},
+			} {
+				if f.got != f.want {
+					t.Fatalf("t=%d bank %d: %s=%d, shadow %d", now, b, f.name, f.got, f.want)
+				}
 			}
-			if got := c.QueuedTxns(b); got != shadowQueued[b] {
-				t.Fatalf("t=%d bank %d: QueuedTxns=%d, shadow %d", now, b, got, shadowQueued[b])
-			}
-			cur := triple{row: c.SchedRow(b), score: c.QueuedScore(b), hits: c.HitsSinceAct(b), ver: c.SchedVersion(b)}
-			p := prev[b]
-			if (cur.row != p.row || cur.score != p.score || cur.hits != p.hits) && cur.ver == p.ver {
-				t.Fatalf("t=%d bank %d: sched state changed (%+v -> %+v) but SchedVersion did not", now, b, p, cur)
-			}
-			prev[b] = cur
 		}
 	}
 	want := 0

@@ -392,7 +392,6 @@ func (e *stepper) fastForward(cal calibration, H, F, drainStart int64, rng *stat
 			e.live--
 		}
 	}
-	e.smBase = end
 	if e.nextSample >= 0 && e.nextSample <= end {
 		e.nextSample = end + s.Tel.Sampler.Every
 	}
@@ -415,7 +414,6 @@ func (e *stepper) freeze(v bool) {
 			e.smWake[i] = e.now
 		}
 	}
-	e.smBase = e.now
 }
 
 // emitWindow records a sampled-engine phase boundary in the trace.

@@ -314,11 +314,6 @@ type stepper struct {
 	smWake []int64 // zero: every SM is runnable at tick 0
 	smLast []int64 // last tick the SM actually ticked
 	smDone []bool
-	// smBase is the exact min over smWake (SM-internal wakeups).
-	// Responses are covered by the crossbar's own maintained minimum, so
-	// deciding whether any SM needs this tick is two compares — the
-	// per-SM scan runs only when one fires.
-	smBase int64
 	now    int64
 	live   int
 
@@ -332,8 +327,6 @@ type stepper struct {
 	nextSample int64
 	lastSample int64
 }
-
-const bigTick = int64(1) << 62
 
 func (s *System) newStepper() *stepper {
 	e := &stepper{
@@ -374,33 +367,27 @@ func (e *stepper) stepUntil(limit int64, stopQuiescent bool) {
 		s.now = now
 		e.f.CheckPanic(now)
 		s.Engine.VisitedTicks++
-		if now >= e.smBase || now >= s.x.MinRespWake() {
-			e.smBase = bigTick
-			for i, c := range s.sms {
-				eff := e.smWake[i]
-				if rw := s.x.RespWake(i); rw < eff {
-					eff = rw
-				}
-				// A comatose SM models a late NextWakeup answer:
-				// its due tick passes unserved. Leaving smWake stale
-				// (<= now) keeps it due every tick so the watchdog, not
-				// a hang, reports it.
-				if eff <= now && !e.f.Asleep(chaos.TargetSM, i, now) {
-					if gap := now - 1 - e.smLast[i]; gap > 0 {
-						c.CatchUp(gap)
-					}
-					s.Engine.SMTicks++
-					c.Tick(now, s.x.PopResponse(i, now))
-					e.smLast[i] = now
-					e.smWake[i] = c.NextWakeup(now)
-					if !e.smDone[i] && c.Done() {
-						e.smDone[i] = true
-						e.live--
-					}
-				}
-				if e.smWake[i] < e.smBase {
-					e.smBase = e.smWake[i]
-				}
+		for i, c := range s.sms {
+			eff := e.smWake[i]
+			if rw := s.x.RespWake(i); rw < eff {
+				eff = rw
+			}
+			// A comatose SM models a late NextWakeup answer: its due
+			// tick passes unserved. Leaving smWake stale (<= now) keeps
+			// it due every tick so the watchdog, not a hang, reports it.
+			if eff > now || e.f.Asleep(chaos.TargetSM, i, now) {
+				continue
+			}
+			if gap := now - 1 - e.smLast[i]; gap > 0 {
+				c.CatchUp(gap)
+			}
+			s.Engine.SMTicks++
+			c.Tick(now, s.x.PopResponse(i, now))
+			e.smLast[i] = now
+			e.smWake[i] = c.NextWakeup(now)
+			if !e.smDone[i] && c.Done() {
+				e.smDone[i] = true
+				e.live--
 			}
 		}
 		// Partitions tick every cycle, as in the dense loop; a comatose

@@ -33,10 +33,11 @@ type Faults struct {
 	// WakeDelay ticks (<= 0 means forever). For an SM under the
 	// event-driven engine this models a late NextWakeup answer — exactly
 	// what a wakeup-contract violation looks like from the outside. A
-	// partition has no wakeup: both engines tick it every cycle, so the
-	// fault simply gates its Tick. Under the dense reference engine,
-	// where no wakeups exist, the fault gates the SM's Tick too, so both
-	// engines exhibit the identical hang for the watchdog to catch.
+	// partition has no wakeup: the stepper ticks it every cycle, so the
+	// fault simply gates its Tick. The test-only dense oracle
+	// (gpu.System.RunDense) has no wakeups either, so there the fault
+	// gates the SM's Tick too, and the oracle and the stepper exhibit the
+	// identical hang for the watchdog to catch.
 	WakeTarget string
 	WakeIndex  int
 	WakeAfter  int64

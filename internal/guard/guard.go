@@ -194,7 +194,7 @@ type SMState struct {
 	LiveWarps   int   // not yet retired
 	Blocked     int   // live warps blocked on a load
 	ReplayQueue int   // LSU requests awaiting crossbar injection
-	NextWakeup  int64 // the engine's recorded wakeup (best-effort in dense mode)
+	NextWakeup  int64 // the SM's NextWakeup answer at the dump tick (a bound, possibly stale)
 }
 
 // ChannelState is one memory partition's occupancy snapshot.

@@ -90,20 +90,14 @@ type Xbar struct {
 	curSM  []int    // per-partition sticky SM (NoInterleave)
 	rrResp []int    // per-SM partition rotation
 
-	// reqWake and respWake are lower bounds on the earliest head readyAt
-	// of the queues toward a partition / an SM: min-updated on insert
-	// (exact when the queue was empty), recomputed from the true heads on
-	// every pop attempt. reqWake lets arbitrate skip its SM scan; respWake
-	// is the event-driven system loop's SM wakeup, also lowered when a
-	// pop frees a slot in one of the SM's full request FIFOs (see
-	// PopPart). A stale-early bound only costs a spurious scan or visit.
-	reqWake  []int64
+	// respWake is a lower bound on the earliest head readyAt of the
+	// queues toward an SM: min-updated on insert (exact when the queue
+	// was empty), recomputed from the true heads on every PopResponse,
+	// and lowered when a pop frees a slot in one of the SM's full request
+	// FIFOs (see PopPart). It is the stepper's SM wakeup; a stale-early
+	// bound only costs a spurious visit.
 	respWake []int64
 	queuedTo []int // per-partition queued request count
-	// minRespWake is the exact minimum of respWake, kept current by the
-	// same insert/pop maintenance, so the system loop gets a
-	// whole-crossbar SM wake bound in O(1) per tick.
-	minRespWake int64
 
 	Injected  int64
 	Rejected  int64
@@ -120,13 +114,8 @@ func New(numSM, numPart int, latency int64, capPerQueue int) *Xbar {
 		rrReq:    make([]int, numPart),
 		curSM:    make([]int, numPart),
 		rrResp:   make([]int, numSM),
-		reqWake:  make([]int64, numPart),
 		respWake: make([]int64, numSM),
 		queuedTo: make([]int, numPart),
-	}
-	x.minRespWake = never
-	for i := range x.reqWake {
-		x.reqWake[i] = never
 	}
 	for i := range x.respWake {
 		x.respWake[i] = never
@@ -155,9 +144,6 @@ func (x *Xbar) Inject(sm int, req *memreq.Request, now int64) bool {
 	q.push(entry{req, t})
 	x.Injected++
 	x.queuedTo[req.Channel]++
-	if t < x.reqWake[req.Channel] {
-		x.reqWake[req.Channel] = t
-	}
 	return true
 }
 
@@ -180,7 +166,6 @@ func (x *Xbar) PopPart(part int, now int64) *memreq.Request {
 	}
 	e := q.pop()
 	x.queuedTo[part]--
-	x.reqWake[part] = x.earliestReq(part)
 	return e.req
 }
 
@@ -207,10 +192,9 @@ func (x *Xbar) arbitrate(part int, now int64) int {
 		}
 		return sm
 	}
-	// reqWake is a lower bound on the earliest head readyAt, so a future
-	// bound proves the SM scan below would find nothing. The arbitration
-	// state is untouched either way (rrReq only moves on a pop).
-	if x.queuedTo[part] == 0 || x.reqWake[part] > now {
+	// rrReq only moves on a pop, so a scan that finds nothing ready
+	// leaves the arbitration state untouched.
+	if x.queuedTo[part] == 0 {
 		return -1
 	}
 	for i := 0; i < x.NumSM; i++ {
@@ -219,9 +203,6 @@ func (x *Xbar) arbitrate(part int, now int64) int {
 			return sm
 		}
 	}
-	// Nothing ready: tighten the wake bound to the true earliest head so
-	// later calls skip the scan until a request matures.
-	x.reqWake[part] = x.earliestReq(part)
 	return -1
 }
 
@@ -229,19 +210,6 @@ func (x *Xbar) arbitrate(part int, now int64) int {
 func (x *Xbar) ready(sm, part int, now int64) bool {
 	q := &x.toPart[sm][part]
 	return q.len() > 0 && q.front().readyAt <= now
-}
-
-// earliestReq returns the earliest head readyAt among the FIFOs toward
-// partition part, or never when they are all empty: the exact value of
-// reqWake[part].
-func (x *Xbar) earliestReq(part int) int64 {
-	w := never
-	for sm := 0; sm < x.NumSM; sm++ {
-		if q := &x.toPart[sm][part]; q.len() > 0 && q.front().readyAt < w {
-			w = q.front().readyAt
-		}
-	}
-	return w
 }
 
 func (x *Xbar) recomputeRespWake(sm int) {
@@ -252,13 +220,6 @@ func (x *Xbar) recomputeRespWake(sm int) {
 		}
 	}
 	x.respWake[sm] = w
-	m := never
-	for i := range x.respWake {
-		if v := x.respWake[i]; v < m {
-			m = v
-		}
-	}
-	x.minRespWake = m
 }
 
 // RespWake returns the earliest tick at which SM sm could see crossbar
@@ -271,8 +232,17 @@ func (x *Xbar) recomputeRespWake(sm int) {
 func (x *Xbar) RespWake(sm int) int64 { return x.respWake[sm] }
 
 // MinRespWake returns min over SMs of RespWake — the earliest tick any
-// SM could receive a response or a freed request slot.
-func (x *Xbar) MinRespWake() int64 { return x.minRespWake }
+// SM could receive a response or a freed request slot. It scans every
+// SM, so it is for diagnostics (the stall dump), not the tick loop.
+func (x *Xbar) MinRespWake() int64 {
+	m := never
+	for _, w := range x.respWake {
+		if w < m {
+			m = w
+		}
+	}
+	return m
+}
 
 // Respond sends a response from partition part back to the request's SM.
 // The response path is modeled with latency but without back-pressure (the
@@ -293,14 +263,10 @@ func (x *Xbar) RespondTo(part, sm int, req *memreq.Request, now int64) {
 	x.lowerRespWake(sm, t)
 }
 
-// lowerRespWake min-updates SM sm's crossbar wake and the whole-crossbar
-// minimum with tick t.
+// lowerRespWake min-updates SM sm's crossbar wake with tick t.
 func (x *Xbar) lowerRespWake(sm int, t int64) {
 	if t < x.respWake[sm] {
 		x.respWake[sm] = t
-	}
-	if t < x.minRespWake {
-		x.minRespWake = t
 	}
 }
 

@@ -211,3 +211,87 @@ func TestPopFullQueueWakesSM(t *testing.T) {
 	}
 	check("after PopResponse", 60, 60)
 }
+
+// churn drives a crossbar the size of the largest machine the benchmark
+// runs (bfs-lowocc's 120 SMs, 6 partitions) through steady traffic. Each SM injects on every 20th tick,
+// staggered by its index, toward a rotating partition, so on every tick
+// about six requests enter with heads at different maturities. Every
+// partition pops once per tick, answers what it popped, and every SM
+// drains its response. Requests recycle through a free stack, so warm
+// ticks touch no allocator.
+type churn struct {
+	x    *Xbar
+	free []*memreq.Request
+	now  int64
+}
+
+func newChurn() *churn {
+	const sms, parts, capPerQueue = 120, 6, 8
+	c := &churn{x: New(sms, parts, 20, capPerQueue)}
+	for i := 0; i < sms*parts*capPerQueue; i++ {
+		c.free = append(c.free, &memreq.Request{})
+	}
+	return c
+}
+
+func (c *churn) tick() {
+	x, now := c.x, c.now
+	for sm := 0; sm < x.NumSM; sm++ {
+		if (int64(sm)+now)%20 != 0 || len(c.free) == 0 {
+			continue
+		}
+		r := c.free[len(c.free)-1]
+		*r = memreq.Request{ID: uint64(now), Kind: memreq.Read,
+			Channel: int(now/20+int64(sm)) % x.NumPart,
+			Group:   memreq.GroupID{SM: uint16(sm), Warp: 0, Load: 1}}
+		if x.Inject(sm, r, now) {
+			c.free = c.free[:len(c.free)-1]
+		}
+	}
+	for part := 0; part < x.NumPart; part++ {
+		if r := x.PopPart(part, now); r != nil {
+			x.Respond(part, r, now)
+		}
+	}
+	for sm := 0; sm < x.NumSM; sm++ {
+		if r := x.PopResponse(sm, now); r != nil {
+			c.free = append(c.free, r)
+		}
+	}
+	c.now++
+}
+
+// BenchmarkXbarPopPart times one tick of the churn above: the cost of the
+// partitions' round-robin arbitration scans plus the SMs' injections and
+// response pops.
+func BenchmarkXbarPopPart(b *testing.B) {
+	c := newChurn()
+	for i := 0; i < 1000; i++ {
+		c.tick()
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.tick()
+	}
+}
+
+// TestCrossbarSteadyStateAllocs pins the zero-alloc property of the
+// crossbar: once its rings have grown to the steady-state occupancy,
+// Inject/PopPart/Respond/PopResponse churn must not allocate.
+func TestCrossbarSteadyStateAllocs(t *testing.T) {
+	c := newChurn()
+	for i := 0; i < 5000; i++ {
+		c.tick() // grow every ring to its steady-state capacity
+	}
+	if c.x.Injected == 0 || c.x.Responses == 0 {
+		t.Fatal("churn moved no traffic")
+	}
+	avg := testing.AllocsPerRun(100, func() {
+		for i := 0; i < 100; i++ {
+			c.tick()
+		}
+	})
+	if avg != 0 {
+		t.Fatalf("steady-state crossbar churn allocated: %.2f allocs per 100 ticks, want 0", avg)
+	}
+}

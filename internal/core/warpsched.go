@@ -151,9 +151,10 @@ type WarpScheduler struct {
 	bankPending []int // pending (undispatched) requests per bank
 
 	// fillerIdx indexes pending requests by (bank,row) for the WG-Bw
-	// row-hit filler search. dispatch removes entries eagerly (request
-	// memory is pooled, so stale pointers must not linger); the
-	// req.Dispatched skip in liveFillers is a defensive second line.
+	// row-hit filler search; it holds exactly the requests in the groups'
+	// pending lists. dispatch removes entries eagerly: request memory is
+	// pooled, so a stale pointer left here could come back as an unrelated
+	// live request.
 	fillerIdx map[[2]int][]*memreq.Request
 	// fillerFree recycles the per-(bank,row) index slices dropped when an
 	// entry empties, so re-opening the same locality later reuses their
@@ -395,9 +396,6 @@ func (w *WarpScheduler) scoreAndHits(g *group, now int64) (score, hits int) {
 	var touched uint32
 	ch := w.ctl.Chan
 	for _, r := range g.pending {
-		if r.Dispatched {
-			continue
-		}
 		b := r.Bank
 		if bit := uint32(1) << uint(b); touched&bit == 0 {
 			banks[b] = acc{row: ch.SchedRow(b), total: ch.QueuedScore(b)}
@@ -522,7 +520,7 @@ func (w *WarpScheduler) NextRead(now int64) *memreq.Request {
 	// streak, require the bank to have transferred its Minimum Efficient
 	// Row Burst; fill the gap with pending row hits from any warp, and
 	// let 1-2 orphan hits ride along (Section IV-D).
-	if w.MERB && !r.Dispatched {
+	if w.MERB {
 		if filler := w.merbFiller(r); filler != nil {
 			if w.Probe != nil && !w.merbStreak[filler.Bank] {
 				w.merbStreak[filler.Bank] = true
@@ -575,7 +573,7 @@ func (w *WarpScheduler) merbFiller(r *memreq.Request) *memreq.Request {
 	if openRow == r.Row || openRow < 0 {
 		return nil // not a miss, or bank closed (nothing to protect)
 	}
-	fillers := w.liveFillers(r.Bank, openRow)
+	fillers := w.fillerIdx[[2]int{r.Bank, openRow}]
 	if len(fillers) == 0 {
 		return nil
 	}
@@ -591,41 +589,6 @@ func (w *WarpScheduler) merbFiller(r *memreq.Request) *memreq.Request {
 		return fillers[0]
 	}
 	return nil
-}
-
-// liveFillers returns (and compacts) the undispatched requests pending to
-// (bank, row).
-func (w *WarpScheduler) liveFillers(bank, row int) []*memreq.Request {
-	fk := [2]int{bank, row}
-	list := w.fillerIdx[fk]
-	if len(list) == 0 {
-		// No entry: there is nothing to drop, and parking the empty
-		// slice would grow fillerFree by one header per probe.
-		return nil
-	}
-	live := list[:0]
-	for _, r := range list {
-		if !r.Dispatched {
-			live = append(live, r)
-		}
-	}
-	if len(live) == 0 {
-		w.dropFillerEntry(fk, list)
-		return nil
-	}
-	w.fillerIdx[fk] = live
-	return live
-}
-
-// dropFillerEntry removes an emptied (bank,row) index entry and parks its
-// slice for reuse, clearing the stale request pointers it still holds.
-func (w *WarpScheduler) dropFillerEntry(fk [2]int, list []*memreq.Request) {
-	delete(w.fillerIdx, fk)
-	list = list[:cap(list)]
-	for i := range list {
-		list[i] = nil
-	}
-	w.fillerFree = append(w.fillerFree, list[:0])
 }
 
 // banksWithWork counts banks with either queued transactions or pending
@@ -654,13 +617,11 @@ func (w *WarpScheduler) dispatch(r *memreq.Request) *memreq.Request {
 		}
 	}
 	g.dispatched++
-	r.Dispatched = true
 	w.count--
 	w.bankPending[r.Bank]--
 	// Drop r from the (bank,row) filler index eagerly: the request's
-	// memory is recycled once it completes, and a recycled request with a
-	// fresh Dispatched=false flag would make a lingering stale pointer
-	// look live to liveFillers.
+	// memory is recycled once it completes, and a stale pointer left in
+	// the index would then name an unrelated live request.
 	fk := [2]int{r.Bank, r.Row}
 	if list := w.fillerIdx[fk]; len(list) > 0 {
 		live := list[:0]
@@ -670,7 +631,14 @@ func (w *WarpScheduler) dispatch(r *memreq.Request) *memreq.Request {
 			}
 		}
 		if len(live) == 0 {
-			w.dropFillerEntry(fk, list)
+			// Park the emptied slice for reuse, clearing the stale
+			// request pointers it still holds.
+			delete(w.fillerIdx, fk)
+			list = list[:cap(list)]
+			for i := range list {
+				list[i] = nil
+			}
+			w.fillerFree = append(w.fillerFree, list[:0])
 		} else {
 			w.fillerIdx[fk] = live
 		}

@@ -539,35 +539,92 @@ func TestNoOrphanControlAblation(t *testing.T) {
 }
 
 // Property: under random enqueue/complete/dispatch traffic, the scheduler's
-// internal counts never go negative and Pending always equals the sum of
-// group pending lists.
+// indexes agree with the group pending lists on every tick: Pending is the
+// sum of the lists, bankPending[b] counts the pending requests to bank b,
+// and the (bank,row) filler index holds exactly the pending requests under
+// their own key, with no empty entry. The stream runs under WG-Bw and under
+// WG-W with coordination, where a simulated peer controller reports
+// servicing some groups and write-backs trigger drains.
 func TestSchedulerCountInvariant(t *testing.T) {
-	for seed := int64(0); seed < 3; seed++ {
-		rng := rand.New(rand.NewSource(seed + 100))
-		w := New(WithMERB())
-		ctl := newCtl(w)
-		var serial uint32
-		for now := int64(0); now < 30000; now++ {
-			if rng.Intn(4) == 0 {
-				serial++
-				n := rng.Intn(4) + 1
-				for i := 0; i < n; i++ {
-					ctl.AcceptRead(rd(rng.Intn(16), rng.Intn(6), rng.Intn(16)*4,
-						gid(uint16(rng.Intn(4)), serial), i == n-1), now)
+	configs := []struct {
+		name string
+		opts func(net *coordnet.Network) []Option
+	}{
+		{"wg-bw", func(*coordnet.Network) []Option { return []Option{WithMERB()} }},
+		{"wg-w+coord", func(net *coordnet.Network) []Option {
+			return []Option{WithCoordination(net, 0), WithMERB(), WithWriteAware()}
+		}},
+	}
+	for _, cfg := range configs {
+		for seed := int64(0); seed < 3; seed++ {
+			rng := rand.New(rand.NewSource(seed + 100))
+			net := coordnet.New(2, 8)
+			w := New(cfg.opts(net)...)
+			ctl := newCtl(w)
+			var serial uint32
+			for now := int64(0); now < 30000; now++ {
+				if rng.Intn(4) == 0 {
+					serial++
+					g := gid(uint16(rng.Intn(4)), serial)
+					n := rng.Intn(4) + 1
+					for i := 0; i < n; i++ {
+						r := rd(rng.Intn(16), rng.Intn(6), rng.Intn(16)*4, g, i == n-1)
+						r.GroupChannels = 2
+						ctl.AcceptRead(r, now)
+					}
+					if rng.Intn(2) == 0 {
+						net.Broadcast(1, g, rng.Intn(20), now)
+					}
+				}
+				if w.WriteAware && rng.Intn(20) == 0 {
+					ctl.AcceptWrite(wr(rng.Intn(16), rng.Intn(6)), now)
+				}
+				net.Deliver(1, now)
+				w.PollCoordination(now)
+				ctl.Tick(now)
+				checkSchedulerIndexes(t, w)
+				if t.Failed() {
+					t.Fatalf("%s seed %d t=%d", cfg.name, seed, now)
 				}
 			}
-			ctl.Tick(now)
-			sum := 0
-			for _, g := range w.order {
-				sum += len(g.pending)
-			}
-			if sum != w.Pending() {
-				t.Fatalf("seed %d t=%d: pending %d != sum %d", seed, now, w.Pending(), sum)
-			}
-			if w.Pending() < 0 {
-				t.Fatalf("negative pending")
+		}
+	}
+}
+
+// checkSchedulerIndexes reports (with t.Errorf) every disagreement between
+// w's counters and indexes and its group pending lists.
+func checkSchedulerIndexes(t *testing.T, w *WarpScheduler) {
+	t.Helper()
+	pending := map[*memreq.Request]bool{}
+	perBank := make([]int, len(w.bankPending))
+	for _, g := range w.order {
+		for _, r := range g.pending {
+			pending[r] = true
+			perBank[r.Bank]++
+		}
+	}
+	if len(pending) != w.Pending() {
+		t.Errorf("Pending %d != %d requests in group lists", w.Pending(), len(pending))
+	}
+	for b, n := range perBank {
+		if w.bankPending[b] != n {
+			t.Errorf("bankPending[%d] = %d, group lists hold %d", b, w.bankPending[b], n)
+		}
+	}
+	indexed := 0
+	for fk, list := range w.fillerIdx {
+		if len(list) == 0 {
+			t.Errorf("empty filler entry %v", fk)
+		}
+		for _, r := range list {
+			if !pending[r] || r.Bank != fk[0] || r.Row != fk[1] {
+				t.Errorf("filler entry %v holds %v, not a request pending there", fk, r)
 			}
 		}
+		indexed += len(list)
+	}
+	if indexed != w.Pending() {
+		t.Errorf("filler index holds %d requests, Pending is %d", indexed, w.Pending())
 	}
 }
 

@@ -100,11 +100,6 @@ type Request struct {
 	Issue  int64
 	Arrive int64
 	Done   int64
-
-	// Dispatched marks that a transaction scheduler has already moved
-	// this request into a DRAM command queue (used by the warp-aware
-	// schedulers' secondary indexes to skip stale entries).
-	Dispatched bool
 }
 
 // String implements fmt.Stringer.

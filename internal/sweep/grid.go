@@ -2,8 +2,8 @@
 // reproduction: it expands declarative spec grids into dramlat.RunSpec
 // lists, executes them on a worker pool with a persistent on-disk result
 // cache, aggregates failures instead of dying on the first one, and
-// exports the aggregate as JSON or CSV. cmd/dlbench, cmd/dlsweep and
-// examples/schedcompare all run on top of it.
+// exports the aggregate as JSON or CSV. cmd/dlbench and cmd/dlsweep run
+// on top of it.
 package sweep
 
 import (

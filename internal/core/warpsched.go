@@ -645,9 +645,6 @@ func (w *WarpScheduler) dispatch(r *memreq.Request) *memreq.Request {
 	}
 	if len(g.pending) == 0 && g.complete {
 		w.retire(g)
-		if w.current == g {
-			w.current = nil
-		}
 	}
 	return r
 }

@@ -18,14 +18,9 @@
 // Per-bank state is data-oriented: the row/timing/score fields the
 // scheduler scan and the legality checks read every cycle live in flat
 // per-channel arrays indexed by bank (see the "Data-oriented core"
-// section of DESIGN.md), so the round-robin scan in Tick and the
-// earliest-legal pass in NextWakeup walk contiguous memory instead of
-// chasing a struct per bank.
-//
-// Refresh is off by default (the paper does not discuss it and it affects
-// all schedulers identically) but can be enabled with SetRefresh: an
-// all-bank refresh model that drains the command queues, closes every bank
-// and blocks the channel for tRFC every tREFI.
+// section of DESIGN.md), so the one round-robin scan behind Tick and
+// NextWakeup walks contiguous memory instead of chasing a struct per
+// bank.
 package dram
 
 import (
@@ -95,6 +90,8 @@ type Transaction struct {
 
 // Stats aggregates channel activity counters.
 type Stats struct {
+	// Refreshes is always zero: the channel models no refresh. It stays
+	// so the Results JSON, and every hash of it, keeps its bytes.
 	Refreshes int64
 	ACTs      int64
 	PREs      int64
@@ -164,12 +161,6 @@ type Channel struct {
 	txnFree  []*Transaction
 	txnDead  []*Transaction
 	lastSeen int64
-
-	// Refresh state (SetRefresh).
-	refreshInterval int64
-	trfc            int64
-	nextRefresh     int64
-	refreshDue      bool
 
 	// OnComplete fires when a transaction's final burst finishes
 	// transferring. It may be nil.
@@ -294,66 +285,10 @@ func (c *Channel) reclaimTxns(now int64) {
 	}
 }
 
-// SetRefresh enables all-bank refresh every interval ticks, blocking the
-// channel for trfc ticks per refresh. Passing interval 0 disables it.
-func (c *Channel) SetRefresh(interval, trfc int64) {
-	c.refreshInterval = interval
-	c.trfc = trfc
-	c.nextRefresh = interval
-	c.cmdWake = 0
-}
-
 // CanAccept reports whether bank b's command queue has room for another
-// transaction. While a refresh is pending the channel drains and accepts
-// nothing new.
+// transaction.
 func (c *Channel) CanAccept(b int) bool {
-	if c.refreshDue {
-		return false
-	}
 	return int(c.queuedTxns[b]) < c.QueueCap
-}
-
-// maybeRefresh arms and performs all-bank refreshes. It returns true while
-// a refresh is blocking the channel this tick.
-func (c *Channel) maybeRefresh(now int64) bool {
-	if c.refreshInterval <= 0 {
-		return false
-	}
-	if !c.refreshDue && now >= c.nextRefresh {
-		c.refreshDue = true
-	}
-	if !c.refreshDue {
-		return false
-	}
-	// Drain: issue queued commands as usual until every queue is empty.
-	for i := 0; i < c.NumBanks; i++ {
-		if c.queueLen(i) > 0 {
-			return false // keep issuing; acceptance is already blocked
-		}
-	}
-	if len(c.busOnly)-c.boHead > 0 {
-		return false
-	}
-	// Wait until every bank may precharge and the bus is quiet.
-	for i := 0; i < c.NumBanks; i++ {
-		if c.openRow[i] != -1 && now < c.preOK[i] {
-			return true
-		}
-	}
-	if now < c.busFreeAt {
-		return true
-	}
-	// Perform the refresh: close everything, block for tRFC.
-	for i := 0; i < c.NumBanks; i++ {
-		c.openRow[i] = -1
-		c.schedRow[i] = -1
-		c.actOK[i] = now + c.trfc
-		c.hitsSinceAct[i] = 0
-	}
-	c.Stats.Refreshes++
-	c.refreshDue = false
-	c.nextRefresh = now + c.refreshInterval
-	return true
 }
 
 // SchedRow returns the row that will be open in bank b once all queued
@@ -375,17 +310,6 @@ func (c *Channel) QueuedScore(b int) int { return int(c.queuedScore[b]) }
 // HitsSinceAct returns the number of 64B row-hit bursts scheduled to bank b
 // since its last scheduled activate: the MERB counter of Section IV-D.
 func (c *Channel) HitsSinceAct(b int) int { return int(c.hitsSinceAct[b]) }
-
-// BanksWithQueuedWork counts banks with at least one queued transaction.
-func (c *Channel) BanksWithQueuedWork() int {
-	n := 0
-	for _, q := range c.queuedTxns {
-		if q > 0 {
-			n++
-		}
-	}
-	return n
-}
 
 // ProjectHit reports whether a request to (bank, row) would be a row hit if
 // enqueued now.
@@ -487,61 +411,14 @@ func (c *Channel) Enqueue(r *memreq.Request) *Transaction {
 	return txn
 }
 
-// legal reports whether cmd may issue at tick now.
-func (c *Channel) legal(cmd *Command, now int64) bool {
-	b := cmd.Bank
-	switch cmd.Type {
-	case CmdACT:
-		if c.openRow[b] != -1 || now < c.actOK[b] {
-			return false
-		}
-		if now < c.lastACT+int64(c.T.TRRD) {
-			return false
-		}
-		if now < c.fawWindow[c.fawIdx]+int64(c.T.TFAW) {
-			return false
-		}
-		return true
-	case CmdPRE:
-		return c.openRow[b] != -1 && now >= c.preOK[b]
-	case CmdRD:
-		if c.openRow[b] != int32(cmd.Row) || now < c.casOK[b] {
-			return false
-		}
-		if now < c.lastCASGroup[c.group(b)]+int64(c.T.TCCDL) {
-			return false
-		}
-		if now < c.lastCASAny+int64(c.T.TCCDS) {
-			return false
-		}
-		if now < c.wrDataEnd+int64(c.T.TWTR) {
-			return false
-		}
-		return now+int64(c.T.TCAS) >= c.busFreeAt
-	case CmdWR:
-		if c.openRow[b] != int32(cmd.Row) || now < c.casOK[b] {
-			return false
-		}
-		if now < c.lastCASGroup[c.group(b)]+int64(c.T.TCCDL) {
-			return false
-		}
-		if now < c.lastCASAny+int64(c.T.TCCDS) {
-			return false
-		}
-		if now < c.lastRDCmd+int64(c.T.TRTW) {
-			return false
-		}
-		return now+int64(c.T.TWL) >= c.busFreeAt
-	}
-	return false
-}
-
-// earliestLegal returns the exact first tick at which cmd (the head of
-// its bank's queue) satisfies legal(). It mirrors legal() term by term;
-// the row-state preconditions (ACT only on a closed bank, CAS only on
-// the matching open row) always hold for queue heads because per-bank
-// queues execute in order and Enqueue generated the PRE/ACT prefix from
-// the shadow row state.
+// earliestLegal returns the first tick at which cmd, the head of its
+// bank's queue, satisfies every Table II timing constraint: the head may
+// issue at now exactly when earliestLegal(head) <= now. It states each
+// rule once, for both Tick's issue check and the wake bound. The
+// row-state preconditions (ACT only on a closed bank, PRE only on an
+// open one, CAS only on the matching open row) need no check: per-bank
+// queues execute in order and Enqueue built the PRE/ACT prefix from the
+// shadow row state, so they always hold for queue heads.
 func (c *Channel) earliestLegal(cmd *Command) int64 {
 	b := cmd.Bank
 	switch cmd.Type {
@@ -590,39 +467,45 @@ func (c *Channel) earliestLegal(cmd *Command) int64 {
 	return Never
 }
 
-// NextWakeup returns the earliest tick strictly after now at which Tick
-// could change channel state (issue a command, start a bus-only
-// transfer, or arm/perform a refresh), assuming nothing new is enqueued
-// before then. Never means the channel is quiescent until external
-// input. Spurious (early) wakeups are harmless; a late one would break
-// the event-driven/dense equivalence.
-func (c *Channel) NextWakeup(now int64) int64 {
-	if c.refreshDue {
-		// Refresh drain/perform progresses on per-tick conditions
-		// (preOK, bus quiet, queue drain); step densely through it.
-		return now + 1
-	}
-	w := Never
-	if c.refreshInterval > 0 && c.nextRefresh < w {
-		w = c.nextRefresh // arming tick mutates refreshDue
-	}
+// scan walks the banks in Tick's bank-group-interleaved round-robin
+// order and returns the first bank whose queue head may issue at now.
+// When none may, it returns -1 and the earliest tick at which a queued
+// command or a pending bus-only transfer could go (Never if nothing is
+// queued).
+func (c *Channel) scan(now int64) (bank int, wake int64) {
+	wake = Never
 	if len(c.busOnly)-c.boHead > 0 {
-		if v := c.busFreeAt - int64(c.T.TCAS); v < w {
-			w = v
-		}
+		wake = c.busFreeAt - int64(c.T.TCAS)
 	}
+	perGroup := c.NumBanks / c.Groups
 	for i := 0; i < c.NumBanks; i++ {
-		if c.queueLen(i) == 0 {
+		g := (c.rrGroup + i%c.Groups) % c.Groups
+		bi := g*perGroup + (c.rrBank+i/c.Groups)%perGroup
+		if c.queueLen(bi) == 0 {
 			continue
 		}
-		if v := c.earliestLegal(c.head(i)); v < w {
-			w = v
+		t := c.earliestLegal(c.head(bi))
+		if t <= now {
+			return bi, wake
+		}
+		if t < wake {
+			wake = t
 		}
 	}
-	if w <= now {
-		return now + 1
+	return -1, wake
+}
+
+// NextWakeup returns the earliest tick strictly after now at which Tick
+// could change channel state (issue a command or start a bus-only
+// transfer), assuming nothing new is enqueued before then. Never means
+// the channel is quiescent until external input. Spurious (early)
+// wakeups are harmless; a late one would break the event-driven/dense
+// equivalence.
+func (c *Channel) NextWakeup(now int64) int64 {
+	if bank, wake := c.scan(now); bank < 0 && wake > now {
+		return wake
 	}
-	return w
+	return now + 1
 }
 
 // apply issues cmd at tick now, updating all timing state.
@@ -704,40 +587,29 @@ func (c *Channel) finishBurst(cmd *Command, dataEnd int64) {
 // valid until the next Tick (the storage is reused).
 func (c *Channel) Tick(now int64) *Command {
 	c.reclaimTxns(now)
-	if c.maybeRefresh(now) {
-		return nil
-	}
 	if c.WakeCache && now < c.cmdWake {
 		return nil // provably nothing issuable before cmdWake
 	}
 	c.tickBusOnly(now)
-	perGroup := c.NumBanks / c.Groups
-	for i := 0; i < c.NumBanks; i++ {
-		g := (c.rrGroup + i%c.Groups) % c.Groups
-		within := (c.rrBank + i/c.Groups) % perGroup
-		bi := g*perGroup + within
-		if c.queueLen(bi) == 0 {
-			continue
+	bi, wake := c.scan(now)
+	if bi < 0 {
+		if c.WakeCache {
+			c.cmdWake = max(wake, now+1)
 		}
-		cmd := c.head(bi)
-		if !c.legal(cmd, now) {
-			continue
-		}
-		c.lastCmd = *cmd
-		c.popHead(bi)
-		c.apply(&c.lastCmd, now)
-		// Advance round-robin past the bank we just served.
-		c.rrGroup = (g + 1) % c.Groups
-		if g == c.Groups-1 {
-			c.rrBank = (within + 1) % perGroup
-		}
-		c.cmdWake = 0 // timing state changed: rescan next tick
-		return &c.lastCmd
+		return nil
 	}
-	if c.WakeCache {
-		c.cmdWake = c.NextWakeup(now)
+	c.lastCmd = *c.head(bi)
+	c.popHead(bi)
+	c.apply(&c.lastCmd, now)
+	// Advance round-robin past the bank we just served.
+	g := c.group(bi)
+	c.rrGroup = (g + 1) % c.Groups
+	if g == c.Groups-1 {
+		perGroup := c.NumBanks / c.Groups
+		c.rrBank = (bi%perGroup + 1) % perGroup
 	}
-	return nil
+	c.cmdWake = 0 // timing state changed: rescan next tick
+	return &c.lastCmd
 }
 
 // Idle reports whether the channel has no queued commands at all.
@@ -751,15 +623,6 @@ func (c *Channel) Idle() bool {
 		}
 	}
 	return true
-}
-
-// Utilization returns the fraction of elapsed ticks the data bus spent
-// transferring data.
-func (c *Channel) Utilization(elapsed int64) float64 {
-	if elapsed <= 0 {
-		return 0
-	}
-	return float64(c.Stats.BusyTicks) / float64(elapsed)
 }
 
 // RowHitRate returns the fraction of transactions that were row hits.

@@ -92,20 +92,6 @@ func TestSoABankStateMatchesShadow(t *testing.T) {
 			}
 		}
 	}
-	want := 0
-	for _, q := range shadowQueued {
-		want += boolCount(q > 0)
-	}
-	if got := c.BanksWithQueuedWork(); got != want {
-		t.Fatalf("BanksWithQueuedWork=%d, shadow %d", got, want)
-	}
-}
-
-func boolCount(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 // TestCommandPathSteadyStateAllocs pins the zero-alloc property of the

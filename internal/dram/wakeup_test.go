@@ -13,7 +13,9 @@ import (
 // request streams: between an enqueue-free tick t and the wakeup
 // NextWakeup(t) returned there, Tick must be a no-op. A command issue,
 // burst completion, or stats delta strictly before the reported wakeup
-// means the event loop would have slept through real work.
+// means the event loop would have slept through real work. The bound is
+// also exact: with nothing enqueued since, Tick at the wakeup itself must
+// issue a command or start a bus-only transfer.
 func TestNextWakeupNeverLate(t *testing.T) {
 	for iter := 0; iter < 20; iter++ {
 		iter := iter
@@ -21,16 +23,15 @@ func TestNextWakeupNeverLate(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(iter) + 1))
 			c := NewChannel(gddr5.Default(), 16, 4, 4)
 			c.WakeCache = iter%2 == 0 // exercise the cached and pristine Tick
-			if iter%3 == 0 {
-				c.SetRefresh(2000, 160)
-			}
 			completed := 0
 			c.OnComplete = func(*Transaction, int64) { completed++ }
 
 			// pred is the earliest tick at which state may legally change:
 			// NextWakeup of the last quiet tick, reset to "now" whenever an
-			// enqueue (external input) invalidates the bound.
+			// enqueue (external input) invalidates the bound. fromWake
+			// records that pred is NextWakeup's, not an enqueue's.
 			pred := int64(0)
+			fromWake := false
 			var id uint64
 			for now := int64(0); now < 30_000; now++ {
 				if rng.Intn(6) == 0 {
@@ -45,22 +46,26 @@ func TestNextWakeupNeverLate(t *testing.T) {
 							ID: id, Kind: kind,
 							Bank: bank, Row: rng.Intn(8), Col: rng.Intn(64),
 						})
-						pred = now
+						pred, fromWake = now, false
 					}
 				}
 				if iter%5 == 1 && rng.Intn(50) == 0 {
 					id++
 					c.EnqueueBusOnly(&memreq.Request{ID: id, Kind: memreq.Read})
-					pred = now
+					pred, fromWake = now, false
 				}
 				statsBefore := c.Stats
 				doneBefore := completed
 				cmd := c.Tick(now)
-				if (cmd != nil || c.Stats != statsBefore || completed != doneBefore) && now < pred {
+				changed := cmd != nil || c.Stats != statsBefore || completed != doneBefore
+				if changed && now < pred {
 					t.Fatalf("state changed at tick %d but wakeup promised quiet until %d (cmd=%v stats %+v -> %+v)",
 						now, pred, cmd, statsBefore, c.Stats)
 				}
-				pred = c.NextWakeup(now)
+				if fromWake && now == pred && !changed {
+					t.Fatalf("NextWakeup promised work at tick %d but Tick was a no-op", now)
+				}
+				pred, fromWake = c.NextWakeup(now), true
 				if pred <= now {
 					t.Fatalf("NextWakeup(%d) = %d, not strictly in the future", now, pred)
 				}

@@ -59,12 +59,6 @@ type Config struct {
 	AgeThresh  int64
 	// ATLASQuantum is the rank-update period of the ATLAS comparator.
 	ATLASQuantum int64
-	// EnableRefresh turns on all-bank refresh (tREFI ~3.9us, tRFC
-	// ~107ns for the 1Gb part). Off by default: the paper does not model
-	// it and it affects every scheduler identically.
-	EnableRefresh bool
-	RefreshTicks  int64 // tREFI in ticks (default 5850 ~ 3.9us)
-	TRFCTicks     int64 // tRFC in ticks (default 160 ~ 107ns)
 
 	// Ideal models (Fig 4).
 	PerfectCoalescing bool
@@ -240,8 +234,6 @@ func DefaultConfig() Config {
 		CoordDelay:   4,
 		AgeThresh:    2000,
 		ATLASQuantum: 50_000,
-		RefreshTicks: 5850,
-		TRFCTicks:    160,
 
 		MaxTicks: 50_000_000,
 	}

@@ -260,29 +260,6 @@ func TestAblationsComplete(t *testing.T) {
 	}
 }
 
-// Refresh-enabled runs must complete and cost a little performance.
-func TestRefreshEndToEnd(t *testing.T) {
-	base := smallConfig("gmc")
-	sysA, err := NewSystem(base, synthWorkload(base, 4, 10))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ra, _ := sysA.Run()
-	withRef := smallConfig("gmc")
-	withRef.EnableRefresh = true
-	sysB, err := NewSystem(withRef, synthWorkload(withRef, 4, 10))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rb, _ := sysB.Run()
-	if !ra.Drained || !rb.Drained {
-		t.Fatal("stuck")
-	}
-	if rb.Ticks < ra.Ticks {
-		t.Fatalf("refresh made the run faster: %d vs %d", rb.Ticks, ra.Ticks)
-	}
-}
-
 // The new comparators and the extension must complete on real-ish traffic.
 func TestNewSchedulersEndToEnd(t *testing.T) {
 	for _, sched := range []string{"parbs", "atlas", "wg-sh"} {

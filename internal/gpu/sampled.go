@@ -201,7 +201,6 @@ func (s *System) calibrate(sn calSnap, winLen int64) calibration {
 }
 
 func subDRAM(a, b dram.Stats) dram.Stats {
-	a.Refreshes -= b.Refreshes
 	a.ACTs -= b.ACTs
 	a.PREs -= b.PREs
 	a.RDBursts -= b.RDBursts

@@ -163,9 +163,6 @@ func NewSystem(cfg Config, w Workload) (*System, error) {
 	for ch := 0; ch < cfg.NumChannels; ch++ {
 		channel := dram.NewChannel(cfg.Timing, cfg.NumBanks, cfg.BankGroups, cfg.CmdQueueCap)
 		channel.WakeCache = true
-		if cfg.EnableRefresh {
-			channel.SetRefresh(cfg.RefreshTicks, cfg.TRFCTicks)
-		}
 		sched, ws := s.buildScheduler(ch)
 		ctl := memctrl.New(channel, sched, cfg.ReadQ, cfg.WriteQ, cfg.HighWM, cfg.LowWM)
 		ctl.WriteAgeDrain = cfg.WriteAgeDrain
@@ -538,7 +535,6 @@ func (s *System) results(doneTick int64) Results {
 	var busy int64
 	for _, p := range s.parts {
 		st := p.ctl.Chan.Stats
-		r.DRAM.Refreshes += st.Refreshes
 		r.DRAM.ACTs += st.ACTs
 		r.DRAM.PREs += st.PREs
 		r.DRAM.RDBursts += st.RDBursts

@@ -392,7 +392,7 @@ func (w *WarpScheduler) scoreAndHits(g *group, now int64) (score, hits int) {
 		row   int
 		total int
 	}
-	var banks [32]acc // NumBanks <= 32 in all configurations
+	var banks [32]acc // gpu.Config.Validate caps NumBanks at 32
 	var touched uint32
 	ch := w.ctl.Chan
 	for _, r := range g.pending {

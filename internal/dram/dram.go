@@ -18,21 +18,23 @@
 // Per-bank state is data-oriented: the row/timing/score fields the
 // scheduler scan and the legality checks read every cycle live in flat
 // per-channel arrays indexed by bank (see the "Data-oriented core"
-// section of DESIGN.md), so the one round-robin scan behind Tick and
-// NextWakeup walks contiguous memory instead of chasing a struct per
-// bank.
+// section of DESIGN.md). Tick's one round-robin scan, which also yields
+// the channel's wake bound, walks an occupancy bitmask so it visits only
+// banks with queued commands, and prices each from its cached head time.
 package dram
 
 import (
+	"math/bits"
+
 	"dramlat/internal/gddr5"
 	"dramlat/internal/guard"
 	"dramlat/internal/memreq"
 )
 
-// Never is the wakeup-contract sentinel: a NextWakeup result of Never
-// means "no state change can happen without new external input". Any
-// finite wakeup may be early (the caller just re-checks); it must never
-// be later than the component's first actual state change.
+// Never is the wakeup-contract sentinel: a wake bound of Never means "no
+// state change can happen without new external input". Any finite wakeup
+// may be early (the caller just re-checks); it must never be later than
+// the component's first actual state change.
 const Never int64 = 1 << 62
 
 // CmdType enumerates DRAM commands.
@@ -104,12 +106,17 @@ type Stats struct {
 	BusyTicks int64 // data-bus busy time (bursts * tBURST)
 }
 
+// maxBanks is the largest bank count a channel supports: the occupancy
+// mask holds one bit per bank.
+const maxBanks = 64
+
 // Channel is one 64-bit GDDR5 channel with a single rank of 16 banks.
 type Channel struct {
 	T        gddr5.Timing
 	NumBanks int
 	Groups   int // bank groups (4)
 	QueueCap int // max queued transactions per bank
+	perGroup int // banks per group
 
 	// Per-bank state, struct-of-arrays, indexed by bank. openRow/actOK/
 	// preOK/casOK are the architectural row and earliest-legal times the
@@ -129,6 +136,17 @@ type Channel struct {
 	// pop never re-slices capacity away.
 	queues [][]Command
 	qHead  []int32
+
+	// occ has one bit per bank with queued commands, laid out
+	// within-major (bit within*Groups+g for bank g*perGroup+within), so
+	// each Groups-bit row holds one round-robin step across the groups.
+	// headKind/headAt cache each non-empty bank's head command type and
+	// its bank-side earliest-legal tick (see refreshHead); they are
+	// refreshed only when the head changes, since only issuing a bank's
+	// head moves that bank's timing state.
+	occ      uint64
+	headKind []CmdType
+	headAt   []int64
 
 	// Rank-level timing state.
 	lastACT   int64    // for tRRD
@@ -183,11 +201,15 @@ func NewChannel(t gddr5.Timing, numBanks, groups, queueCap int) *Channel {
 	if numBanks%groups != 0 {
 		panic("dram: banks must divide evenly into groups")
 	}
+	if numBanks > maxBanks {
+		panic("dram: more banks than the occupancy mask holds")
+	}
 	c := &Channel{
 		T:            t,
 		NumBanks:     numBanks,
 		Groups:       groups,
 		QueueCap:     queueCap,
+		perGroup:     numBanks / groups,
 		openRow:      make([]int32, numBanks),
 		actOK:        make([]int64, numBanks),
 		preOK:        make([]int64, numBanks),
@@ -198,6 +220,8 @@ func NewChannel(t gddr5.Timing, numBanks, groups, queueCap int) *Channel {
 		hitsSinceAct: make([]int32, numBanks),
 		queues:       make([][]Command, numBanks),
 		qHead:        make([]int32, numBanks),
+		headKind:     make([]CmdType, numBanks),
+		headAt:       make([]int64, numBanks),
 		lastCASGroup: make([]int64, groups),
 		lastSeen:     -1 << 62,
 	}
@@ -223,7 +247,13 @@ func NewChannel(t gddr5.Timing, numBanks, groups, queueCap int) *Channel {
 	return c
 }
 
-func (c *Channel) group(bankIdx int) int { return bankIdx / (c.NumBanks / c.Groups) }
+func (c *Channel) group(bankIdx int) int { return bankIdx / c.perGroup }
+
+// occBit returns bank b's bit in the occupancy mask.
+func (c *Channel) occBit(b int) uint64 {
+	g := b / c.perGroup
+	return 1 << uint((b-g*c.perGroup)*c.Groups+g)
+}
 
 // queueLen returns the number of commands queued at bank b.
 func (c *Channel) queueLen(b int) int { return len(c.queues[b]) - int(c.qHead[b]) }
@@ -232,7 +262,8 @@ func (c *Channel) queueLen(b int) int { return len(c.queues[b]) - int(c.qHead[b]
 func (c *Channel) head(b int) *Command { return &c.queues[b][c.qHead[b]] }
 
 // popHead removes bank b's head command, resetting the backing array
-// once the queue fully drains so its capacity is reused from the front.
+// (and clearing the bank's occupancy bit) once the queue fully drains so
+// its capacity is reused from the front.
 func (c *Channel) popHead(b int) {
 	q := c.queues[b]
 	h := int(c.qHead[b])
@@ -241,6 +272,7 @@ func (c *Channel) popHead(b int) {
 	if h == len(q) {
 		c.queues[b] = q[:0]
 		h = 0
+		c.occ &^= c.occBit(b)
 	}
 	c.qHead[b] = int32(h)
 }
@@ -248,6 +280,7 @@ func (c *Channel) popHead(b int) {
 // push appends cmd to bank b's queue. A full backing array with popped
 // slots at its front is compacted rather than grown, so a queue that never
 // fully drains reuses its capacity instead of reallocating as it cycles.
+// A push into an empty queue sets the bank's occupancy bit and head cache.
 func (c *Channel) push(b int, cmd Command) {
 	q := c.queues[b]
 	if h := int(c.qHead[b]); h > 0 && len(q) == cap(q) {
@@ -257,6 +290,30 @@ func (c *Channel) push(b int, cmd Command) {
 		c.qHead[b] = 0
 	}
 	c.queues[b] = append(q, cmd)
+	if len(q) == 0 {
+		c.occ |= c.occBit(b)
+		c.refreshHead(b)
+	}
+}
+
+// refreshHead caches bank b's head command type and the bank-side half of
+// its Table II bound: tRC/tRP (actOK) for ACT, tRAS/tRTP/tWR (preOK) for
+// PRE and tRCD (casOK) for RD/WR. The channel-side half is channelBounds'.
+// The row-state preconditions (ACT only on a closed bank, PRE only on an
+// open one, CAS only on the matching open row) need no check: per-bank
+// queues execute in order and Enqueue built the PRE/ACT prefix from the
+// shadow row state, so they always hold for queue heads.
+func (c *Channel) refreshHead(b int) {
+	k := c.head(b).Type
+	c.headKind[b] = k
+	switch k {
+	case CmdACT:
+		c.headAt[b] = c.actOK[b]
+	case CmdPRE:
+		c.headAt[b] = c.preOK[b]
+	default:
+		c.headAt[b] = c.casOK[b]
+	}
 }
 
 // newTxn returns a zeroed transaction, recycling a retired one when the
@@ -411,101 +468,69 @@ func (c *Channel) Enqueue(r *memreq.Request) *Transaction {
 	return txn
 }
 
-// earliestLegal returns the first tick at which cmd, the head of its
-// bank's queue, satisfies every Table II timing constraint: the head may
-// issue at now exactly when earliestLegal(head) <= now. It states each
-// rule once, for both Tick's issue check and the wake bound. The
-// row-state preconditions (ACT only on a closed bank, PRE only on an
-// open one, CAS only on the matching open row) need no check: per-bank
-// queues execute in order and Enqueue built the PRE/ACT prefix from the
-// shadow row state, so they always hold for queue heads.
-func (c *Channel) earliestLegal(cmd *Command) int64 {
-	b := cmd.Bank
-	switch cmd.Type {
-	case CmdACT:
-		t := c.actOK[b]
-		if v := c.lastACT + int64(c.T.TRRD); v > t {
-			t = v
-		}
-		if v := c.fawWindow[c.fawIdx] + int64(c.T.TFAW); v > t {
-			t = v
-		}
-		return t
-	case CmdPRE:
-		return c.preOK[b]
-	case CmdRD:
-		t := c.casOK[b]
-		if v := c.lastCASGroup[c.group(b)] + int64(c.T.TCCDL); v > t {
-			t = v
-		}
-		if v := c.lastCASAny + int64(c.T.TCCDS); v > t {
-			t = v
-		}
-		if v := c.wrDataEnd + int64(c.T.TWTR); v > t {
-			t = v
-		}
-		if v := c.busFreeAt - int64(c.T.TCAS); v > t {
-			t = v
-		}
-		return t
-	case CmdWR:
-		t := c.casOK[b]
-		if v := c.lastCASGroup[c.group(b)] + int64(c.T.TCCDL); v > t {
-			t = v
-		}
-		if v := c.lastCASAny + int64(c.T.TCCDS); v > t {
-			t = v
-		}
-		if v := c.lastRDCmd + int64(c.T.TRTW); v > t {
-			t = v
-		}
-		if v := c.busFreeAt - int64(c.T.TWL); v > t {
-			t = v
-		}
-		return t
-	}
-	return Never
+// channelBounds returns, indexed by CmdType, the channel-side half of each
+// command's Table II bound: tRRD and tFAW for ACT; tCCDS, tWTR and the
+// data-bus release for RD; tCCDS, tRTW and the data-bus release for WR.
+// PRE has none. A queue head may issue at now exactly when the max of
+// its headAt, its kind's bound and, for RD/WR, tCCDL after its group's
+// last column command is <= now; scan states that max once.
+func (c *Channel) channelBounds() (k [4]int64) {
+	k[CmdACT] = max(c.lastACT+int64(c.T.TRRD), c.fawWindow[c.fawIdx]+int64(c.T.TFAW))
+	k[CmdPRE] = -Never
+	cas := c.lastCASAny + int64(c.T.TCCDS)
+	k[CmdRD] = max(cas, c.wrDataEnd+int64(c.T.TWTR), c.busFreeAt-int64(c.T.TCAS))
+	k[CmdWR] = max(cas, c.lastRDCmd+int64(c.T.TRTW), c.busFreeAt-int64(c.T.TWL))
+	return k
 }
 
 // scan walks the banks in Tick's bank-group-interleaved round-robin
-// order and returns the first bank whose queue head may issue at now.
-// When none may, it returns -1 and the earliest tick at which a queued
-// command or a pending bus-only transfer could go (Never if nothing is
-// queued).
+// order — group (rrGroup+i%Groups)%Groups, within-group bank
+// (rrBank+i/Groups)%perGroup for step i — and returns the first bank
+// whose queue head may issue at now. When none may, it returns -1 and
+// the earliest tick at which a queued command or a pending bus-only
+// transfer could go (Never if nothing is queued). It visits only the
+// occupancy mask's set bits: one Groups-bit row per within-group index,
+// starting at rrBank, each rotated right by rrGroup so its lowest set bit
+// is the next group in turn.
 func (c *Channel) scan(now int64) (bank int, wake int64) {
 	wake = Never
 	if len(c.busOnly)-c.boHead > 0 {
 		wake = c.busFreeAt - int64(c.T.TCAS)
 	}
-	perGroup := c.NumBanks / c.Groups
-	for i := 0; i < c.NumBanks; i++ {
-		g := (c.rrGroup + i%c.Groups) % c.Groups
-		bi := g*perGroup + (c.rrBank+i/c.Groups)%perGroup
-		if c.queueLen(bi) == 0 {
-			continue
+	if c.occ == 0 {
+		return -1, wake
+	}
+	kind := c.channelBounds()
+	tCCDL := int64(c.T.TCCDL)
+	G, perGroup := c.Groups, c.perGroup
+	rowMask := uint64(1)<<uint(G) - 1
+	rg := uint(c.rrGroup)
+	within := c.rrBank
+	for r := 0; r < perGroup; r++ {
+		row := c.occ >> uint(within*G) & rowMask
+		for row = (row>>rg | row<<(uint(G)-rg)) & rowMask; row != 0; row &= row - 1 {
+			g := c.rrGroup + bits.TrailingZeros64(row)
+			if g >= G {
+				g -= G
+			}
+			bi := g*perGroup + within
+			k := c.headKind[bi]
+			t := max(c.headAt[bi], kind[k])
+			if k >= CmdRD {
+				t = max(t, c.lastCASGroup[g]+tCCDL)
+			}
+			if t <= now {
+				return bi, wake
+			}
+			if t < wake {
+				wake = t
+			}
 		}
-		t := c.earliestLegal(c.head(bi))
-		if t <= now {
-			return bi, wake
-		}
-		if t < wake {
-			wake = t
+		if within++; within == perGroup {
+			within = 0
 		}
 	}
 	return -1, wake
-}
-
-// NextWakeup returns the earliest tick strictly after now at which Tick
-// could change channel state (issue a command or start a bus-only
-// transfer), assuming nothing new is enqueued before then. Never means
-// the channel is quiescent until external input. Spurious (early)
-// wakeups are harmless; a late one would break the event-driven/dense
-// equivalence.
-func (c *Channel) NextWakeup(now int64) int64 {
-	if bank, wake := c.scan(now); bank < 0 && wake > now {
-		return wake
-	}
-	return now + 1
 }
 
 // apply issues cmd at tick now, updating all timing state.
@@ -601,12 +626,16 @@ func (c *Channel) Tick(now int64) *Command {
 	c.lastCmd = *c.head(bi)
 	c.popHead(bi)
 	c.apply(&c.lastCmd, now)
+	if c.queueLen(bi) > 0 {
+		c.refreshHead(bi)
+	}
 	// Advance round-robin past the bank we just served.
 	g := c.group(bi)
-	c.rrGroup = (g + 1) % c.Groups
-	if g == c.Groups-1 {
-		perGroup := c.NumBanks / c.Groups
-		c.rrBank = (bi%perGroup + 1) % perGroup
+	if c.rrGroup = g + 1; c.rrGroup == c.Groups {
+		c.rrGroup = 0
+		if c.rrBank = bi - g*c.perGroup + 1; c.rrBank == c.perGroup {
+			c.rrBank = 0
+		}
 	}
 	c.cmdWake = 0 // timing state changed: rescan next tick
 	return &c.lastCmd
@@ -614,15 +643,7 @@ func (c *Channel) Tick(now int64) *Command {
 
 // Idle reports whether the channel has no queued commands at all.
 func (c *Channel) Idle() bool {
-	if len(c.busOnly)-c.boHead > 0 {
-		return false
-	}
-	for i := 0; i < c.NumBanks; i++ {
-		if c.queueLen(i) > 0 {
-			return false
-		}
-	}
-	return true
+	return c.occ == 0 && len(c.busOnly)-c.boHead == 0
 }
 
 // RowHitRate returns the fraction of transactions that were row hits.

@@ -43,7 +43,8 @@ func drive(t *testing.T, c *Channel, start, bound int64) []issueRec {
 
 // audit independently re-checks every Table II timing constraint over an
 // issued command log. It is deliberately a from-scratch re-implementation
-// so that a bug in Channel.earliestLegal cannot hide itself.
+// so that a bug in Channel.refreshHead or Channel.channelBounds cannot
+// hide itself.
 func audit(t *testing.T, tm gddr5.Timing, log []issueRec, banks, groups int) {
 	t.Helper()
 	type bankState struct {
@@ -479,12 +480,22 @@ func TestFAWEnforced(t *testing.T) {
 }
 
 func TestNewChannelPanicsOnBadGeometry(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic for banks % groups != 0")
-		}
-	}()
-	NewChannel(gddr5.Default(), 15, 4, 4)
+	for _, geo := range []struct {
+		name          string
+		banks, groups int
+	}{
+		{"banks % groups != 0", 15, 4},
+		{"banks > maxBanks", 128, 4},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("no panic for %s", geo.name)
+				}
+			}()
+			NewChannel(gddr5.Default(), geo.banks, geo.groups, 4)
+		}()
+	}
 }
 
 func BenchmarkChannelRandomStream(b *testing.B) {

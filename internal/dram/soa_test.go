@@ -19,9 +19,14 @@ import (
 //   - QueuedScore must sum 1 per projected hit and 3 per projected miss
 //     over the bank's uncompleted transactions;
 //   - HitsSinceAct must count the bursts enqueued since the bank's last
-//     projected miss (two per transaction, the miss's own included).
+//     projected miss (two per transaction, the miss's own included);
+//   - the bank's occupancy bit must be set exactly when QueuedTxns > 0;
+//   - a non-empty bank's cached head kind and time must be its head
+//     command's type and bank-side bound (actOK for ACT, preOK for PRE,
+//     casOK for RD/WR).
 //
-// The warp scheduler reads the last three on every group score.
+// The warp scheduler reads SchedRow, QueuedScore and HitsSinceAct on
+// every group score; the command scan reads the last two.
 func TestSoABankStateMatchesShadow(t *testing.T) {
 	const banks = 16
 	rng := rand.New(rand.NewSource(42))
@@ -89,6 +94,27 @@ func TestSoABankStateMatchesShadow(t *testing.T) {
 				if f.got != f.want {
 					t.Fatalf("t=%d bank %d: %s=%d, shadow %d", now, b, f.name, f.got, f.want)
 				}
+			}
+			occupied := c.occ&c.occBit(b) != 0
+			if occupied != (c.QueuedTxns(b) > 0) {
+				t.Fatalf("t=%d bank %d: occupancy bit %v with %d queued txns", now, b, occupied, c.QueuedTxns(b))
+			}
+			if !occupied {
+				continue
+			}
+			head := c.head(b)
+			var bound int64
+			switch head.Type {
+			case CmdACT:
+				bound = c.actOK[b]
+			case CmdPRE:
+				bound = c.preOK[b]
+			default:
+				bound = c.casOK[b]
+			}
+			if c.headKind[b] != head.Type || c.headAt[b] != bound {
+				t.Fatalf("t=%d bank %d: cached head (%v, %d), head (%v, %d)",
+					now, b, c.headKind[b], c.headAt[b], head.Type, bound)
 			}
 		}
 	}

@@ -248,12 +248,15 @@ const DefaultStallCycles = 1_000_000
 
 // Sanity ceilings for Validate: far above Table II and every sweep this
 // repo runs, low enough that a corrupted or fuzzed config fails fast
-// instead of attempting a multi-terabyte allocation.
+// instead of attempting a multi-terabyte allocation. maxBanks is a hard
+// bound, not a sanity one: the warp scheduler scores groups over a
+// fixed 32-entry bank table, and the DRAM channel's occupancy mask holds
+// 64 banks.
 const (
 	maxSMs        = 4096
 	maxWarpsPerSM = 2048
 	maxChannels   = 1024
-	maxBanks      = 4096
+	maxBanks      = 32
 )
 
 func powerOfTwo(n int) bool { return n > 0 && n&(n-1) == 0 }
@@ -312,7 +315,7 @@ func (c Config) Validate() error {
 	case !powerOfTwo(c.NumBanks):
 		v.Addf("NumBanks", c.NumBanks, "must be a positive power of two")
 	case c.NumBanks > maxBanks:
-		v.Addf("NumBanks", c.NumBanks, "exceeds sanity ceiling %d", maxBanks)
+		v.Addf("NumBanks", c.NumBanks, "exceeds the %d banks the warp scheduler's bank table holds", maxBanks)
 	case c.BankGroups <= 0 || c.NumBanks%c.BankGroups != 0:
 		v.Addf("BankGroups", c.BankGroups, "banks (%d) must divide evenly into groups", c.NumBanks)
 	}

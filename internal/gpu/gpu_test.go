@@ -1,9 +1,11 @@
 package gpu
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
+	"dramlat/internal/guard"
 	"dramlat/internal/sm"
 )
 
@@ -208,6 +210,22 @@ func TestConfigValidation(t *testing.T) {
 	cfg.NumSMs = 0
 	if err := cfg.Validate(); err == nil {
 		t.Fatal("zero SMs accepted")
+	}
+	// The warp scheduler's bank table holds 32 banks: 64 must be a
+	// NumBanks field error, not a crash mid-run, and 32 must run.
+	cfg = smallConfig("wg-w")
+	cfg.NumBanks = 64
+	var ve *guard.ValidationError
+	if err := cfg.Validate(); !errors.As(err, &ve) || ve.Fields[0].Field != "NumBanks" {
+		t.Fatalf("64 banks: Validate = %v, want a NumBanks field error", err)
+	}
+	cfg.NumBanks = 32
+	sys, err := NewSystem(cfg, synthWorkload(cfg, 3, 6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.Run(); err != nil {
+		t.Fatalf("32 banks: %v", err)
 	}
 	cfg = DefaultConfig()
 	if _, err := NewSystem(cfg, Workload{Programs: nil}); err == nil {

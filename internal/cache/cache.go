@@ -22,12 +22,15 @@ type line struct {
 }
 
 // MSHR tracks one in-flight miss line and the requests merged into it.
-// Both fields are concrete types, not interfaces: storing a GroupID in an
-// interface would heap-box it on every miss.
+// Owner and Waiters are concrete types, not interfaces: storing a GroupID
+// in an interface would heap-box it on every miss.
 type MSHR struct {
 	Line    uint64
 	Owner   memreq.GroupID    // the primary (in-flight) request's group
 	Waiters []*memreq.Request // requests merged onto the line, owned by the caller
+	// Slot is the register's fixed index in [0, Config.MSHRs): callers
+	// key per-miss side tables by it instead of by line address.
+	Slot int
 }
 
 // Cache is a blocking-free set-associative cache model. It tracks tags
@@ -39,16 +42,16 @@ type Cache struct {
 	lineBits uint
 	clock    int64
 
-	mshrs map[uint64]*MSHR
-	// mshrFree recycles released MSHRs: misses dominate the simulator's
-	// steady-state allocation profile, and the registers are fixed
-	// hardware structures, so the model should not allocate per miss
-	// either. A released MSHR may be handed out again by the very next
-	// MSHRAlloc — callers must finish reading a released MSHR before
-	// allocating from the same cache (true of the SM and partition call
-	// graphs: releases and the waiter fan-out run strictly between
-	// allocs).
-	mshrFree []*MSHR
+	// mshrs is the fixed register file. The registers are hardware
+	// structures, so the model allocates them once: a miss pops a slot
+	// from free, a fill pushes it back, and index maps line -> slot. A
+	// released MSHR may be handed out again by the very next MSHRAlloc —
+	// callers must finish reading a released MSHR before allocating from
+	// the same cache (true of the SM and partition call graphs: releases
+	// and the waiter fan-out run strictly between allocs).
+	mshrs []MSHR
+	free  []int32
+	index mshrIndex
 
 	Hits       int64
 	Misses     int64
@@ -76,10 +79,19 @@ func New(cfg Config) *Cache {
 		sets:     make([][]line, nsets),
 		setMask:  uint64(nsets - 1),
 		lineBits: lb,
-		mshrs:    make(map[uint64]*MSHR),
+		mshrs:    make([]MSHR, cfg.MSHRs),
+		free:     make([]int32, cfg.MSHRs),
+		index:    newMSHRIndex(cfg.MSHRs, lb),
 	}
+	// One flat array of lines, carved into capacity-capped sets.
+	all := make([]line, lines)
 	for i := range c.sets {
-		c.sets[i] = make([]line, cfg.Ways)
+		c.sets[i] = all[i*cfg.Ways : (i+1)*cfg.Ways : (i+1)*cfg.Ways]
+	}
+	// Pop order hands out slot 0 first.
+	for i := range c.free {
+		c.free[i] = int32(cfg.MSHRs - 1 - i)
+		c.mshrs[i].Slot = i
 	}
 	return c
 }
@@ -185,48 +197,124 @@ func (c *Cache) HitRate() float64 {
 
 // MSHRFor returns the in-flight MSHR for the line containing addr, or nil.
 func (c *Cache) MSHRFor(addr uint64) *MSHR {
-	return c.mshrs[addr&^uint64(c.cfg.LineBytes-1)]
+	if i := c.index.find(c.mshrs, c.lineOf(addr)); i >= 0 {
+		return &c.mshrs[c.index.slots[i]]
+	}
+	return nil
 }
 
 // MSHRAlloc allocates an MSHR for the line containing addr. It returns nil
 // when all MSHRs are busy (the miss must be retried later).
 func (c *Cache) MSHRAlloc(addr uint64) *MSHR {
-	if len(c.mshrs) >= c.cfg.MSHRs {
+	n := len(c.free)
+	if n == 0 {
 		return nil
 	}
-	key := addr &^ uint64(c.cfg.LineBytes-1)
-	if _, ok := c.mshrs[key]; ok {
+	key := c.lineOf(addr)
+	if c.index.find(c.mshrs, key) >= 0 {
 		panic("cache: MSHR already allocated for line")
 	}
-	var m *MSHR
-	if n := len(c.mshrFree); n > 0 {
-		m = c.mshrFree[n-1]
-		c.mshrFree = c.mshrFree[:n-1]
-		// Waiter pointers are cleared at reuse time, not release time,
-		// because MSHRRelease's caller still reads them.
-		ws := m.Waiters
-		for i := range ws {
-			ws[i] = nil
-		}
-		*m = MSHR{Line: key, Waiters: ws[:0]}
-	} else {
-		m = &MSHR{Line: key}
+	slot := c.free[n-1]
+	c.free = c.free[:n-1]
+	m := &c.mshrs[slot]
+	// Waiter pointers are cleared at reuse time, not release time,
+	// because MSHRRelease's caller still reads them.
+	ws := m.Waiters
+	for i := range ws {
+		ws[i] = nil
 	}
-	c.mshrs[key] = m
+	*m = MSHR{Line: key, Waiters: ws[:0], Slot: int(slot)}
+	c.index.insert(key, slot)
 	return m
 }
 
 // MSHRRelease removes and returns the MSHR for the line containing addr
 // (on fill). It returns nil if none exists.
 func (c *Cache) MSHRRelease(addr uint64) *MSHR {
-	key := addr &^ uint64(c.cfg.LineBytes-1)
-	m := c.mshrs[key]
-	if m != nil {
-		delete(c.mshrs, key)
-		c.mshrFree = append(c.mshrFree, m)
+	i := c.index.find(c.mshrs, c.lineOf(addr))
+	if i < 0 {
+		return nil
 	}
-	return m
+	slot := c.index.slots[i]
+	c.index.remove(c.mshrs, i)
+	c.free = append(c.free, slot)
+	return &c.mshrs[slot]
 }
 
 // MSHRCount returns the number of in-flight miss lines.
-func (c *Cache) MSHRCount() int { return len(c.mshrs) }
+func (c *Cache) MSHRCount() int { return len(c.mshrs) - len(c.free) }
+
+// lineOf returns the address of the line containing addr.
+func (c *Cache) lineOf(addr uint64) uint64 { return addr &^ uint64(c.cfg.LineBytes-1) }
+
+// mshrIndex maps in-flight line addresses to MSHR slots: an open-addressed
+// table of at least twice the register count (so probe runs stay short),
+// linear probing, and backward-shift deletion (no tombstones, so a long
+// run never degrades lookups). slots[i] is the slot stored at i, or -1.
+type mshrIndex struct {
+	slots    []int32
+	mask     uint64
+	lineBits uint
+	shift    uint // 64 - log2(len(slots)), for Fibonacci hashing
+}
+
+func newMSHRIndex(mshrs int, lineBits uint) mshrIndex {
+	size, logSize := 1, uint(0)
+	for size < 2*mshrs {
+		size <<= 1
+		logSize++
+	}
+	x := mshrIndex{
+		slots:    make([]int32, size),
+		mask:     uint64(size - 1),
+		lineBits: lineBits,
+		shift:    64 - logSize,
+	}
+	for i := range x.slots {
+		x.slots[i] = -1
+	}
+	return x
+}
+
+// home is line's preferred position (0 in a one-entry table: a shift
+// by 64 yields 0).
+func (x *mshrIndex) home(line uint64) uint64 {
+	return ((line >> x.lineBits) * 0x9E3779B97F4A7C15) >> x.shift
+}
+
+// find returns line's position in the table, or -1.
+func (x *mshrIndex) find(mshrs []MSHR, line uint64) int {
+	for i := x.home(line); ; i = (i + 1) & x.mask {
+		s := x.slots[i]
+		if s < 0 {
+			return -1
+		}
+		if mshrs[s].Line == line {
+			return int(i)
+		}
+	}
+}
+
+// insert stores slot under line, which must be absent.
+func (x *mshrIndex) insert(line uint64, slot int32) {
+	i := x.home(line)
+	for x.slots[i] >= 0 {
+		i = (i + 1) & x.mask
+	}
+	x.slots[i] = slot
+}
+
+// remove empties position i, shifting later members of its probe run
+// back so every remaining line stays reachable from its home.
+func (x *mshrIndex) remove(mshrs []MSHR, i int) {
+	gap := uint64(i)
+	for j := (gap + 1) & x.mask; x.slots[j] >= 0; j = (j + 1) & x.mask {
+		// The entry at j may fill the gap unless its home lies
+		// cyclically in (gap, j].
+		if (j-x.home(mshrs[x.slots[j]].Line))&x.mask >= (j-gap)&x.mask {
+			x.slots[gap] = x.slots[j]
+			gap = j
+		}
+	}
+	x.slots[gap] = -1
+}

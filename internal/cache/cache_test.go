@@ -3,6 +3,8 @@ package cache
 import (
 	"math/rand"
 	"testing"
+
+	"dramlat/internal/memreq"
 )
 
 func cfg() Config {
@@ -185,5 +187,108 @@ func TestHitRate(t *testing.T) {
 	c.Lookup(128 * 1024)
 	if c.HitRate() != 0.5 {
 		t.Fatalf("hit rate %v", c.HitRate())
+	}
+}
+
+// TestMSHRIndexMatchesMap drives the open-addressed MSHR index in
+// lockstep with a reference map through random alloc/lookup/release
+// streams. Addresses come from a pool of a few dozen lines, many of them
+// chosen to share a home position, so long probe runs form and
+// backward-shift deletion must move entries across them (including
+// around the end of the table).
+func TestMSHRIndexMatchesMap(t *testing.T) {
+	for _, mshrs := range []int{1, 3, 8, 64} {
+		for seed := int64(0); seed < 4; seed++ {
+			c := New(Config{SizeBytes: 4096, LineBytes: 128, Ways: 4, MSHRs: mshrs})
+			// Group candidate lines by home position; draw most lines
+			// from the two most crowded homes.
+			byHome := map[uint64][]uint64{}
+			for l := uint64(0); l < 4096; l++ {
+				line := l * 128
+				byHome[c.index.home(line)] = append(byHome[c.index.home(line)], line)
+			}
+			var pool []uint64
+			for h := uint64(0); h < 2 && h <= c.index.mask; h++ {
+				pool = append(pool, byHome[c.index.mask-h][:8]...)
+			}
+			for l := uint64(0); l < 16; l++ {
+				pool = append(pool, (l*977+5)*128)
+			}
+			rng := rand.New(rand.NewSource(seed))
+			ref := map[uint64]*MSHR{}
+			for step := 0; step < 20000; step++ {
+				addr := pool[rng.Intn(len(pool))] + uint64(rng.Intn(128))
+				line := addr &^ 127
+				switch rng.Intn(3) {
+				case 0:
+					if ref[line] != nil {
+						continue // double alloc panics (TestMSHRDoubleAllocPanics)
+					}
+					m := c.MSHRAlloc(addr)
+					if full := len(ref) == mshrs; (m == nil) != full {
+						t.Fatalf("mshrs=%d seed=%d step %d: alloc %#x = %v with %d of %d live", mshrs, seed, step, line, m, len(ref), mshrs)
+					}
+					if m != nil {
+						if m.Line != line || len(m.Waiters) != 0 {
+							t.Fatalf("step %d: fresh MSHR %+v for %#x", step, m, line)
+						}
+						for _, o := range ref {
+							if o.Slot == m.Slot {
+								t.Fatalf("step %d: slot %d handed out twice", step, m.Slot)
+							}
+						}
+						ref[line] = m
+					}
+				case 1:
+					if got := c.MSHRFor(addr); got != ref[line] {
+						t.Fatalf("mshrs=%d seed=%d step %d: MSHRFor(%#x) = %p, want %p", mshrs, seed, step, addr, got, ref[line])
+					}
+				case 2:
+					if got := c.MSHRRelease(addr); got != ref[line] {
+						t.Fatalf("mshrs=%d seed=%d step %d: MSHRRelease(%#x) = %p, want %p", mshrs, seed, step, addr, got, ref[line])
+					}
+					delete(ref, line)
+				}
+				if c.MSHRCount() != len(ref) {
+					t.Fatalf("step %d: MSHRCount %d, reference %d", step, c.MSHRCount(), len(ref))
+				}
+			}
+			for line, m := range ref {
+				if c.MSHRFor(line) != m {
+					t.Fatalf("mshrs=%d seed=%d: %#x lost at end", mshrs, seed, line)
+				}
+			}
+		}
+	}
+}
+
+// TestMSHRSteadyStateAllocs pins that the fixed MSHR table never
+// allocates once warm: alloc, waiter merge, lookup and release all reuse
+// the registers and their waiter capacity.
+func TestMSHRSteadyStateAllocs(t *testing.T) {
+	c := New(Config{SizeBytes: 4096, LineBytes: 128, Ways: 4, MSHRs: 16})
+	merged := make([]*memreq.Request, 4)
+	for i := range merged {
+		merged[i] = &memreq.Request{}
+	}
+	var line uint64
+	cycle := func() {
+		for i := 0; i < 16; i++ {
+			m := c.MSHRAlloc((line + uint64(i)*37) * 128)
+			m.Waiters = append(m.Waiters, merged...)
+		}
+		for i := 0; i < 16; i++ {
+			a := (line + uint64(i)*37) * 128
+			if c.MSHRFor(a) == nil || c.MSHRRelease(a) == nil {
+				t.Fatalf("line %#x lost", a)
+			}
+		}
+		line += 5
+	}
+	for i := 0; i < 100; i++ {
+		cycle()
+	}
+	if avg := testing.AllocsPerRun(100, cycle); avg != 0 {
+		t.Fatalf("warm MSHR alloc/release cycle allocated %.2f times, want 0", avg)
 	}
 }

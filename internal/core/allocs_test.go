@@ -10,7 +10,7 @@ import (
 )
 
 // TestWarpSchedulerSteadyStateAllocs pins the zero-alloc property of the
-// wg-w scheduler: with the sorter, the (bank,row) filler index and the
+// wg-w scheduler: with the sorter, the per-bank filler lists and the
 // coordination buffers warm, a sustained stream of multi-channel
 // warp-groups and write-backs through OnEnqueue, dispatch and the MERB
 // filler search must not allocate.
@@ -21,7 +21,7 @@ func TestWarpSchedulerSteadyStateAllocs(t *testing.T) {
 	var free []*memreq.Request
 	recycle := func(r *memreq.Request, _ int64) { free = append(free, r) }
 	for ch := range scheds {
-		scheds[ch] = New(WithCoordination(net, ch), WithMERB(), WithWriteAware())
+		scheds[ch] = New(1, 8, WithCoordination(net, ch), WithMERB(), WithWriteAware())
 		ctls[ch] = newCtl(scheds[ch])
 		ctls[ch].OnReadDone = recycle
 		ctls[ch].OnWriteDone = recycle

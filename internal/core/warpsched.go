@@ -55,6 +55,9 @@ type group struct {
 	// blocker and the group takes absolute priority.
 	channels   int
 	remoteMask uint32
+
+	// next links the groups that share a warp slot (WarpScheduler.live).
+	next *group
 }
 
 // soleBlocker reports that every other controller already serviced its
@@ -138,10 +141,16 @@ type WarpScheduler struct {
 	merbTable  []int
 	merbStreak []bool // per bank: a filler streak is protecting the row
 
-	groups  map[memreq.GroupID]*group
-	order   []*group // arrival order
-	current *group
-	count   int
+	// live[SM*warpsPerSM+Warp] heads the chain of that warp's groups in
+	// the sorter; the last chain holds the ungrouped pseudo-groups and any
+	// ID outside the machine shape. A warp has one load in flight, except
+	// under the Fig 4 zero-divergence ideal.
+	live       []*group
+	sms        int
+	warpsPerSM int
+	order      []*group // arrival order
+	current    *group
+	count      int
 	// groupFree recycles retired group entries (and their pending-slice
 	// capacity): the sorter churns through one group per warp load, and
 	// the live population is bounded by the read queue, so the steady
@@ -150,16 +159,12 @@ type WarpScheduler struct {
 
 	bankPending []int // pending (undispatched) requests per bank
 
-	// fillerIdx indexes pending requests by (bank,row) for the WG-Bw
-	// row-hit filler search; it holds exactly the requests in the groups'
-	// pending lists. dispatch removes entries eagerly: request memory is
-	// pooled, so a stale pointer left here could come back as an unrelated
-	// live request.
-	fillerIdx map[[2]int][]*memreq.Request
-	// fillerFree recycles the per-(bank,row) index slices dropped when an
-	// entry empties, so re-opening the same locality later reuses their
-	// capacity.
-	fillerFree [][]*memreq.Request
+	// fillers[b] lists the pending requests to bank b in arrival order,
+	// for the WG-Bw row-hit filler search; it holds exactly the requests
+	// in the groups' pending lists. dispatch removes entries eagerly:
+	// request memory is pooled, so a stale pointer left here could come
+	// back as an unrelated live request.
+	fillers [][]*memreq.Request
 
 	Stats Stats
 }
@@ -186,14 +191,16 @@ func WithWriteAware() Option { return func(w *WarpScheduler) { w.WriteAware = tr
 // conclusion (multi-warp demand raises a group's priority).
 func WithSharedPriority() Option { return func(w *WarpScheduler) { w.SharedPriority = true } }
 
-// New builds a warp-aware scheduler; with no options it is the plain WG
-// policy of Section IV-B.
-func New(opts ...Option) *WarpScheduler {
+// New builds a warp-aware scheduler for a machine of sms SMs with
+// warpsPerSM warps each; with no options it is the plain WG policy of
+// Section IV-B.
+func New(sms, warpsPerSM int, opts ...Option) *WarpScheduler {
 	w := &WarpScheduler{
 		AgeThresh:   2000,
 		BoostWindow: 256,
-		groups:      make(map[memreq.GroupID]*group),
-		fillerIdx:   make(map[[2]int][]*memreq.Request),
+		live:        make([]*group, sms*warpsPerSM+1),
+		sms:         sms,
+		warpsPerSM:  warpsPerSM,
 	}
 	for _, o := range opts {
 		o(w)
@@ -223,6 +230,14 @@ func (w *WarpScheduler) Attach(ctl *memctrl.Controller) {
 	w.bankPending = make([]int, ctl.Chan.NumBanks)
 	w.merbTable = ctl.Chan.T.MERBTable(ctl.Chan.NumBanks)
 	w.merbStreak = make([]bool, ctl.Chan.NumBanks)
+	// One flat backing array: a bank's list never outgrows the read
+	// queue, so the per-bank lists never reallocate.
+	n := ctl.Chan.NumBanks
+	flat := make([]*memreq.Request, n*ctl.ReadCap)
+	w.fillers = make([][]*memreq.Request, n)
+	for b := range w.fillers {
+		w.fillers[b] = flat[b*ctl.ReadCap : b*ctl.ReadCap : (b+1)*ctl.ReadCap]
+	}
 }
 
 // Pending implements memctrl.Scheduler.
@@ -240,11 +255,26 @@ func groupKey(r *memreq.Request) (memreq.GroupID, bool) {
 	return memreq.GroupID{SM: 0xffff, Warp: uint16(r.ID >> 40), Load: uint32(r.ID)}, true
 }
 
+// chain returns the head of key's group chain.
+func (w *WarpScheduler) chain(key memreq.GroupID) **group {
+	return &w.live[key.WarpSlot(w.sms, w.warpsPerSM)]
+}
+
+// lookup returns key's group, or nil.
+func (w *WarpScheduler) lookup(key memreq.GroupID) *group {
+	for g := *w.chain(key); g != nil; g = g.next {
+		if g.id == key {
+			return g
+		}
+	}
+	return nil
+}
+
 // OnEnqueue implements memctrl.Scheduler.
 func (w *WarpScheduler) OnEnqueue(r *memreq.Request, now int64) {
 	key, pseudo := groupKey(r)
-	g, ok := w.groups[key]
-	if !ok {
+	g := w.lookup(key)
+	if g == nil {
 		if n := len(w.groupFree); n > 0 {
 			g = w.groupFree[n-1]
 			w.groupFree = w.groupFree[:n-1]
@@ -259,7 +289,9 @@ func (w *WarpScheduler) OnEnqueue(r *memreq.Request, now int64) {
 		} else {
 			g = &group{id: key, firstArrive: now}
 		}
-		w.groups[key] = g
+		head := w.chain(key)
+		g.next = *head
+		*head = g
 		w.order = append(w.order, g)
 	}
 	g.pending = append(g.pending, r)
@@ -271,22 +303,14 @@ func (w *WarpScheduler) OnEnqueue(r *memreq.Request, now int64) {
 	}
 	w.count++
 	w.bankPending[r.Bank]++
-	fk := [2]int{r.Bank, r.Row}
-	list := w.fillerIdx[fk]
-	if list == nil {
-		if n := len(w.fillerFree); n > 0 {
-			list = w.fillerFree[n-1]
-			w.fillerFree = w.fillerFree[:n-1]
-		}
-	}
-	w.fillerIdx[fk] = append(list, r)
+	w.fillers[r.Bank] = append(w.fillers[r.Bank], r)
 }
 
 // GroupComplete implements memctrl.Scheduler: the L2 slice signals that the
 // group's channel-tagged request was filtered (cache hit or MSHR merge), so
 // no further requests will arrive.
 func (w *WarpScheduler) GroupComplete(id memreq.GroupID, now int64) {
-	if g, ok := w.groups[id]; ok {
+	if g := w.lookup(id); g != nil {
 		g.complete = true
 		if len(g.pending) == 0 {
 			w.retire(g)
@@ -310,8 +334,8 @@ func (w *WarpScheduler) GroupComplete(id memreq.GroupID, now int64) {
 // reported servicing it, the group becomes this controller's sole-blocker
 // tier: the warp is stalled on us alone.
 func (w *WarpScheduler) DeliverScore(id memreq.GroupID, from, remoteScore int, now int64) {
-	g, ok := w.groups[id]
-	if !ok {
+	g := w.lookup(id)
+	if g == nil {
 		return
 	}
 	g.remoteMask |= 1 << uint(from)
@@ -341,8 +365,8 @@ func (w *WarpScheduler) OnSharedDemand(id memreq.GroupID, now int64) {
 	if !w.SharedPriority {
 		return
 	}
-	g, ok := w.groups[id]
-	if !ok {
+	g := w.lookup(id)
+	if g == nil {
 		return
 	}
 	g.scoreAdj += scoreHit
@@ -573,20 +597,34 @@ func (w *WarpScheduler) merbFiller(r *memreq.Request) *memreq.Request {
 	if openRow == r.Row || openRow < 0 {
 		return nil // not a miss, or bank closed (nothing to protect)
 	}
-	fillers := w.fillerIdx[[2]int{r.Bank, openRow}]
-	if len(fillers) == 0 {
+	// The oldest pending hit on the open row is the filler; counting
+	// stops at 3, enough for the orphan rule.
+	var filler *memreq.Request
+	hits := 0
+	for _, p := range w.fillers[r.Bank] {
+		if p.Row != openRow {
+			continue
+		}
+		if filler == nil {
+			filler = p
+		}
+		if hits++; hits == 3 {
+			break
+		}
+	}
+	if filler == nil {
 		return nil
 	}
 	busy := w.banksWithWork()
 	merb := w.merbTable[busy-1]
 	if ch.HitsSinceAct(r.Bank) < merb {
 		w.Stats.MERBFillers++
-		return fillers[0]
+		return filler
 	}
 	// Orphan control: do not leave behind just one or two hits.
-	if !w.NoOrphanControl && len(fillers) <= 2 {
+	if !w.NoOrphanControl && hits <= 2 {
 		w.Stats.OrphanRideAlongs++
-		return fillers[0]
+		return filler
 	}
 	return nil
 }
@@ -609,7 +647,7 @@ func (w *WarpScheduler) banksWithWork() int {
 // dispatch removes r from its group and all indexes and returns it.
 func (w *WarpScheduler) dispatch(r *memreq.Request) *memreq.Request {
 	key, _ := groupKey(r)
-	g := w.groups[key]
+	g := w.lookup(key)
 	for i, p := range g.pending {
 		if p == r {
 			g.pending = append(g.pending[:i], g.pending[i+1:]...)
@@ -619,28 +657,16 @@ func (w *WarpScheduler) dispatch(r *memreq.Request) *memreq.Request {
 	g.dispatched++
 	w.count--
 	w.bankPending[r.Bank]--
-	// Drop r from the (bank,row) filler index eagerly: the request's
-	// memory is recycled once it completes, and a stale pointer left in
-	// the index would then name an unrelated live request.
-	fk := [2]int{r.Bank, r.Row}
-	if list := w.fillerIdx[fk]; len(list) > 0 {
-		live := list[:0]
-		for _, p := range list {
-			if p != r {
-				live = append(live, p)
-			}
-		}
-		if len(live) == 0 {
-			// Park the emptied slice for reuse, clearing the stale
-			// request pointers it still holds.
-			delete(w.fillerIdx, fk)
-			list = list[:cap(list)]
-			for i := range list {
-				list[i] = nil
-			}
-			w.fillerFree = append(w.fillerFree, list[:0])
-		} else {
-			w.fillerIdx[fk] = live
+	// Drop r from its bank's filler list eagerly, clearing the vacated
+	// tail: the request's memory is recycled once it completes, and a
+	// stale pointer left behind would then name an unrelated live request.
+	list := w.fillers[r.Bank]
+	for i, p := range list {
+		if p == r {
+			copy(list[i:], list[i+1:])
+			list[len(list)-1] = nil
+			w.fillers[r.Bank] = list[:len(list)-1]
+			break
 		}
 	}
 	if len(g.pending) == 0 && g.complete {
@@ -658,7 +684,12 @@ func (w *WarpScheduler) retire(g *group) {
 	if w.current == g {
 		w.current = nil
 	}
-	delete(w.groups, g.id)
+	for p := w.chain(g.id); ; p = &(*p).next {
+		if *p == g {
+			*p, g.next = g.next, nil
+			break
+		}
+	}
 	w.groupFree = append(w.groupFree, g)
 	for i, e := range w.order {
 		if e == g {

@@ -49,7 +49,7 @@ func runUntilIdle(t *testing.T, ctl *memctrl.Controller, bound int64) {
 // A complete group must be serviced as a unit: its requests are not
 // interleaved with another group's at dispatch time.
 func TestGroupServicedAsUnit(t *testing.T) {
-	w := New()
+	w := New(1, 8)
 	ctl := newCtl(w)
 	var order []memreq.GroupID
 	ctl.OnReadDone = func(r *memreq.Request, _ int64) { order = append(order, r.Group) }
@@ -85,7 +85,7 @@ func TestGroupServicedAsUnit(t *testing.T) {
 // Shortest-job-first: a 1-request group must beat a 6-request group that
 // arrived earlier, cutting average completion time (Fig 5).
 func TestShortestJobFirst(t *testing.T) {
-	w := New()
+	w := New(1, 8)
 	ctl := newCtl(w)
 	var order []memreq.GroupID
 	ctl.OnReadDone = func(r *memreq.Request, _ int64) { order = append(order, r.Group) }
@@ -108,7 +108,7 @@ func TestShortestJobFirst(t *testing.T) {
 // A group with row hits on the queued state must beat an equally sized
 // group of misses (bank-state-aware scoring, Section IV-B1).
 func TestScorePrefersRowHits(t *testing.T) {
-	w := New()
+	w := New(1, 8)
 	ctl := newCtl(w)
 	var order []memreq.GroupID
 	ctl.OnReadDone = func(r *memreq.Request, _ int64) { order = append(order, r.Group) }
@@ -146,7 +146,7 @@ func TestScorePrefersRowHits(t *testing.T) {
 // but must eventually be scheduled via the fallback when the queue backs up
 // or it ages out.
 func TestIncompleteGroupFallback(t *testing.T) {
-	w := New()
+	w := New(1, 8)
 	w.AgeThresh = 100
 	ctl := newCtl(w)
 	var done int
@@ -166,7 +166,7 @@ func TestIncompleteGroupFallback(t *testing.T) {
 
 // The L2 group credit completes a group whose tagged request was filtered.
 func TestGroupCompleteCredit(t *testing.T) {
-	w := New()
+	w := New(1, 8)
 	w.AgeThresh = 1 << 40 // disable fallback; rely on the credit
 	ctl := newCtl(w)
 	var done int
@@ -188,7 +188,7 @@ func TestGroupCompleteCredit(t *testing.T) {
 
 // Ungrouped reads flow through as unit pseudo-groups.
 func TestUngroupedReads(t *testing.T) {
-	w := New()
+	w := New(1, 8)
 	ctl := newCtl(w)
 	var done int
 	ctl.OnReadDone = func(*memreq.Request, int64) { done++ }
@@ -205,7 +205,7 @@ func TestUngroupedReads(t *testing.T) {
 // priority so it is selected ahead of a locally cheaper group.
 func TestCoordinationPrioritizes(t *testing.T) {
 	net := coordnet.New(6, 4)
-	w := New(WithCoordination(net, 0))
+	w := New(1, 8, WithCoordination(net, 0))
 	ctl := newCtl(w)
 	var order []memreq.GroupID
 	ctl.OnReadDone = func(r *memreq.Request, _ int64) { order = append(order, r.Group) }
@@ -239,7 +239,7 @@ func TestCoordinationPrioritizes(t *testing.T) {
 // WG-M: a remote score larger than the local one must change nothing.
 func TestCoordinationNoOpWhenRemoteSlower(t *testing.T) {
 	net := coordnet.New(6, 4)
-	w := New(WithCoordination(net, 0))
+	w := New(1, 8, WithCoordination(net, 0))
 	ctl := newCtl(w)
 	g := gid(1, 1)
 	ctl.AcceptRead(rd(0, 5, 0, g, true), 0)
@@ -253,7 +253,7 @@ func TestCoordinationNoOpWhenRemoteSlower(t *testing.T) {
 // Selecting a group must broadcast its score on the coordination network.
 func TestSelectionBroadcasts(t *testing.T) {
 	net := coordnet.New(6, 4)
-	w := New(WithCoordination(net, 2))
+	w := New(1, 8, WithCoordination(net, 2))
 	ctl := newCtl(w)
 	ctl.AcceptRead(rd(0, 5, 0, gid(1, 1), true), 0)
 	runUntilIdle(t, ctl, 20000)
@@ -268,9 +268,9 @@ func TestSelectionBroadcasts(t *testing.T) {
 // PollCoordination drains the network ports into DeliverScore.
 func TestPollCoordination(t *testing.T) {
 	net := coordnet.New(2, 0)
-	w0 := New(WithCoordination(net, 0))
+	w0 := New(1, 8, WithCoordination(net, 0))
 	ctl0 := newCtl(w0)
-	w1 := New(WithCoordination(net, 1))
+	w1 := New(1, 8, WithCoordination(net, 1))
 	ctl1 := newCtl(w1)
 	_ = ctl0
 
@@ -291,7 +291,7 @@ func TestPollCoordination(t *testing.T) {
 
 // WG-Bw: a row miss must wait for MERB row-hit fillers from other groups.
 func TestMERBFillerOverlapsMiss(t *testing.T) {
-	w := New(WithMERB())
+	w := New(1, 8, WithMERB())
 	ctl := newCtl(w)
 	var order []uint64
 	ctl.OnReadDone = func(r *memreq.Request, _ int64) { order = append(order, r.ID) }
@@ -340,7 +340,7 @@ func TestMERBFillerOverlapsMiss(t *testing.T) {
 // WG-W: with a drain imminent, a unit group jumps a cheaper-scored big
 // group.
 func TestWriteAwareUnitRush(t *testing.T) {
-	w := New(WithMERB(), WithWriteAware())
+	w := New(1, 8, WithMERB(), WithWriteAware())
 	ctl := newCtl(w)
 	var order []memreq.GroupID
 	ctl.OnReadDone = func(r *memreq.Request, _ int64) { order = append(order, r.Group) }
@@ -377,7 +377,7 @@ func TestWriteAwareUnitRush(t *testing.T) {
 
 // Fig 12 accounting: drains record stalled unit/orphan groups.
 func TestDrainAccounting(t *testing.T) {
-	w := New(WithWriteAware())
+	w := New(1, 8, WithWriteAware())
 	ctl := newCtl(w)
 	// A unit group pending; then flood writes to trigger a drain.
 	ctl.AcceptRead(rd(0, 1, 0, gid(1, 1), true), 0)
@@ -400,16 +400,16 @@ func TestDrainAccounting(t *testing.T) {
 // Scheduler names reflect the cumulative feature set.
 func TestNames(t *testing.T) {
 	net := coordnet.New(6, 4)
-	if New().Name() != "wg" {
+	if New(1, 8).Name() != "wg" {
 		t.Fatal("wg name")
 	}
-	if New(WithCoordination(net, 0)).Name() != "wg-m" {
+	if New(1, 8, WithCoordination(net, 0)).Name() != "wg-m" {
 		t.Fatal("wg-m name")
 	}
-	if New(WithCoordination(net, 0), WithMERB()).Name() != "wg-bw" {
+	if New(1, 8, WithCoordination(net, 0), WithMERB()).Name() != "wg-bw" {
 		t.Fatal("wg-bw name")
 	}
-	if New(WithCoordination(net, 0), WithMERB(), WithWriteAware()).Name() != "wg-w" {
+	if New(1, 8, WithCoordination(net, 0), WithMERB(), WithWriteAware()).Name() != "wg-w" {
 		t.Fatal("wg-w name")
 	}
 }
@@ -417,11 +417,11 @@ func TestNames(t *testing.T) {
 // Conservation under random grouped traffic for every WG variant.
 func TestConservationAllVariants(t *testing.T) {
 	variants := map[string]func(net *coordnet.Network) *WarpScheduler{
-		"wg":    func(*coordnet.Network) *WarpScheduler { return New() },
-		"wg-m":  func(n *coordnet.Network) *WarpScheduler { return New(WithCoordination(n, 0)) },
-		"wg-bw": func(n *coordnet.Network) *WarpScheduler { return New(WithCoordination(n, 0), WithMERB()) },
+		"wg":    func(*coordnet.Network) *WarpScheduler { return New(1, 8) },
+		"wg-m":  func(n *coordnet.Network) *WarpScheduler { return New(1, 8, WithCoordination(n, 0)) },
+		"wg-bw": func(n *coordnet.Network) *WarpScheduler { return New(1, 8, WithCoordination(n, 0), WithMERB()) },
 		"wg-w": func(n *coordnet.Network) *WarpScheduler {
-			return New(WithCoordination(n, 0), WithMERB(), WithWriteAware())
+			return New(1, 8, WithCoordination(n, 0), WithMERB(), WithWriteAware())
 		},
 	}
 	for name, mk := range variants {
@@ -486,7 +486,7 @@ func TestConservationAllVariants(t *testing.T) {
 // Ablation: CountScore ranks a 1-request miss group over a 3-request
 // all-hit group, unlike the bank-aware score.
 func TestCountScoreAblation(t *testing.T) {
-	w := New()
+	w := New(1, 8)
 	w.CountScore = true
 	ctl := newCtl(w)
 	var order []memreq.GroupID
@@ -519,7 +519,7 @@ func TestCountScoreAblation(t *testing.T) {
 
 // Ablation: NoOrphanControl lets a miss strand 1-2 row hits.
 func TestNoOrphanControlAblation(t *testing.T) {
-	w := New(WithMERB())
+	w := New(1, 8, WithMERB())
 	w.NoOrphanControl = true
 	ctl := newCtl(w)
 	ctl.AcceptRead(rd(0, 1, 0, gid(1, 1), true), 0)
@@ -541,8 +541,9 @@ func TestNoOrphanControlAblation(t *testing.T) {
 // Property: under random enqueue/complete/dispatch traffic, the scheduler's
 // indexes agree with the group pending lists on every tick: Pending is the
 // sum of the lists, bankPending[b] counts the pending requests to bank b,
-// and the (bank,row) filler index holds exactly the pending requests under
-// their own key, with no empty entry. The stream runs under WG-Bw and under
+// and bank b's filler list holds exactly its pending requests in enqueue
+// order. Warps 8 and 9 lie beyond the scheduler's 1x8 warp table, so their
+// groups share the overflow chain. The stream runs under WG-Bw and under
 // WG-W with coordination, where a simulated peer controller reports
 // servicing some groups and write-backs trigger drains.
 func TestSchedulerCountInvariant(t *testing.T) {
@@ -559,13 +560,13 @@ func TestSchedulerCountInvariant(t *testing.T) {
 		for seed := int64(0); seed < 3; seed++ {
 			rng := rand.New(rand.NewSource(seed + 100))
 			net := coordnet.New(2, 8)
-			w := New(cfg.opts(net)...)
+			w := New(1, 8, cfg.opts(net)...)
 			ctl := newCtl(w)
 			var serial uint32
 			for now := int64(0); now < 30000; now++ {
 				if rng.Intn(4) == 0 {
 					serial++
-					g := gid(uint16(rng.Intn(4)), serial)
+					g := gid(uint16(rng.Intn(10)), serial)
 					n := rng.Intn(4) + 1
 					for i := 0; i < n; i++ {
 						r := rd(rng.Intn(16), rng.Intn(6), rng.Intn(16)*4, g, i == n-1)
@@ -592,7 +593,11 @@ func TestSchedulerCountInvariant(t *testing.T) {
 }
 
 // checkSchedulerIndexes reports (with t.Errorf) every disagreement between
-// w's counters and indexes and its group pending lists.
+// w's counters and indexes and its group pending lists: Pending and
+// bankPending count the lists, each bank's filler list holds exactly the
+// requests pending to that bank in enqueue order (request IDs rise with
+// enqueue order in these streams), and every group in the sorter is found
+// by lookup, on its own warp chain, and nothing else is chained.
 func checkSchedulerIndexes(t *testing.T, w *WarpScheduler) {
 	t.Helper()
 	pending := map[*memreq.Request]bool{}
@@ -601,6 +606,9 @@ func checkSchedulerIndexes(t *testing.T, w *WarpScheduler) {
 		for _, r := range g.pending {
 			pending[r] = true
 			perBank[r.Bank]++
+		}
+		if w.lookup(g.id) != g {
+			t.Errorf("group %v not found by lookup", g.id)
 		}
 	}
 	if len(pending) != w.Pending() {
@@ -612,33 +620,45 @@ func checkSchedulerIndexes(t *testing.T, w *WarpScheduler) {
 		}
 	}
 	indexed := 0
-	for fk, list := range w.fillerIdx {
-		if len(list) == 0 {
-			t.Errorf("empty filler entry %v", fk)
-		}
-		for _, r := range list {
-			if !pending[r] || r.Bank != fk[0] || r.Row != fk[1] {
-				t.Errorf("filler entry %v holds %v, not a request pending there", fk, r)
+	for b, list := range w.fillers {
+		for i, r := range list {
+			if !pending[r] || r.Bank != b {
+				t.Errorf("filler list %d holds %v, not a request pending there", b, r)
+			}
+			if i > 0 && list[i-1].ID >= r.ID {
+				t.Errorf("filler list %d out of enqueue order at %d", b, i)
 			}
 		}
 		indexed += len(list)
 	}
 	if indexed != w.Pending() {
-		t.Errorf("filler index holds %d requests, Pending is %d", indexed, w.Pending())
+		t.Errorf("filler lists hold %d requests, Pending is %d", indexed, w.Pending())
+	}
+	chained := 0
+	for slot, head := range w.live {
+		for g := head; g != nil; g = g.next {
+			chained++
+			if w.chain(g.id) != &w.live[slot] {
+				t.Errorf("group %v chained on slot %d", g.id, slot)
+			}
+		}
+	}
+	if chained != len(w.order) {
+		t.Errorf("%d groups chained, %d in the sorter", chained, len(w.order))
 	}
 }
 
 // Shared-data priority: a demand notification lowers the group's score and
 // records the event.
 func TestSharedPriority(t *testing.T) {
-	w := New(WithSharedPriority())
+	w := New(1, 8, WithSharedPriority())
 	ctl := newCtl(w)
 	_ = ctl
 	g := gid(1, 1)
 	ctl.AcceptRead(rd(0, 5, 0, g, false), 0)
-	before := w.score(w.groups[g], 0)
+	before := w.score(w.lookup(g), 0)
 	w.OnSharedDemand(g, 0)
-	after := w.score(w.groups[g], 0)
+	after := w.score(w.lookup(g), 0)
 	if after >= before {
 		t.Fatalf("shared demand did not lower score: %d -> %d", before, after)
 	}
@@ -647,7 +667,7 @@ func TestSharedPriority(t *testing.T) {
 	}
 	// Unknown group and disabled flag are no-ops.
 	w.OnSharedDemand(gid(9, 9), 0)
-	w2 := New()
+	w2 := New(1, 8)
 	w2.OnSharedDemand(g, 0)
 	if w2.Stats.SharedDemands != 0 {
 		t.Fatal("disabled scheduler recorded shared demand")
@@ -655,7 +675,7 @@ func TestSharedPriority(t *testing.T) {
 }
 
 func TestSharedSchedulerName(t *testing.T) {
-	if New(WithSharedPriority()).Name() != "wg-sh" {
+	if New(1, 8, WithSharedPriority()).Name() != "wg-sh" {
 		t.Fatal("wg-sh name")
 	}
 }
@@ -663,7 +683,7 @@ func TestSharedSchedulerName(t *testing.T) {
 // Scheduler overhead microbenchmark: one NextRead decision over a loaded
 // sorter (64 pending requests across 16 groups).
 func BenchmarkWarpSchedulerNextRead(b *testing.B) {
-	w := New(WithMERB())
+	w := New(1, 8, WithMERB())
 	ctl := newCtl(w)
 	var serial uint32
 	refill := func() {

@@ -10,11 +10,10 @@ import (
 
 // TestSystemRunSteadyStateAllocs pins that a whole System allocates per
 // machine, not per instruction: the per-package zero-alloc tests use
-// fakes without a collector, L2 partitions, the warp-aware filler index
-// or SM→partition request traffic, so only a full System.Run shows what
-// those add. Between scale 2 and scale 8 on 4 SMs × 8 warps, Run's
-// mallocs may grow by at most 0.05 per extra retired instruction: the
-// pools, freelists and map tables settle at sizes set by the machine,
+// fakes without L2 partitions or SM→partition request traffic, so only a
+// full System.Run shows what those add. Between scale 2 and scale 8 on 4
+// SMs × 8 warps, Run's mallocs may grow by at most 0.05 per extra retired
+// instruction: the pools and freelists settle at sizes set by the machine,
 // and what is left is mostly the collector's record chunks, one per 256
 // warp-loads.
 func TestSystemRunSteadyStateAllocs(t *testing.T) {

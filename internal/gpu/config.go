@@ -251,12 +251,16 @@ const DefaultStallCycles = 1_000_000
 // instead of attempting a multi-terabyte allocation. maxBanks is a hard
 // bound, not a sanity one: the warp scheduler scores groups over a
 // fixed 32-entry bank table, and the DRAM channel's occupancy mask holds
-// 64 banks.
+// 64 banks. maxMSHRs and maxReadQ bound tables allocated up front: every
+// cache's MSHR registers, and the warp scheduler's per-bank filler lists
+// of ReadQ entries each (Table II: 64 and 64).
 const (
 	maxSMs        = 4096
 	maxWarpsPerSM = 2048
 	maxChannels   = 1024
 	maxBanks      = 32
+	maxMSHRs      = 4096
+	maxReadQ      = 4096
 )
 
 func powerOfTwo(n int) bool { return n > 0 && n&(n-1) == 0 }
@@ -280,8 +284,11 @@ func validateCache(v *guard.ValidationError, field string, sizeBytes, lineBytes,
 	if !powerOfTwo(lines / ways) {
 		v.Addf(field+"Size", sizeBytes, "set count %d must be a power of two", lines/ways)
 	}
-	if mshrs <= 0 {
+	switch {
+	case mshrs <= 0:
 		v.Addf(field+"MSHRs", mshrs, "must be positive")
+	case mshrs > maxMSHRs:
+		v.Addf(field+"MSHRs", mshrs, "exceeds sanity ceiling %d", maxMSHRs)
 	}
 }
 
@@ -328,8 +335,11 @@ func (c Config) Validate() error {
 	if c.CmdQueueCap <= 0 {
 		v.Addf("CmdQueueCap", c.CmdQueueCap, "must be positive")
 	}
-	if c.ReadQ <= 0 {
+	switch {
+	case c.ReadQ <= 0:
 		v.Addf("ReadQ", c.ReadQ, "must be positive")
+	case c.ReadQ > maxReadQ:
+		v.Addf("ReadQ", c.ReadQ, "exceeds sanity ceiling %d", maxReadQ)
 	}
 	if c.WriteQ <= 0 {
 		v.Addf("WriteQ", c.WriteQ, "must be positive")

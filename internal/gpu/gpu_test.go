@@ -227,6 +227,23 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := sys.Run(); err != nil {
 		t.Fatalf("32 banks: %v", err)
 	}
+	// MSHR registers and the warp scheduler's per-bank filler lists are
+	// allocated up front: an absurd size is a field error, not an
+	// unbounded allocation.
+	for _, huge := range []struct {
+		field string
+		set   func(*Config)
+	}{
+		{"L1MSHRs", func(c *Config) { c.L1MSHRs = 1 << 40 }},
+		{"L2MSHRs", func(c *Config) { c.L2MSHRs = 1 << 40 }},
+		{"ReadQ", func(c *Config) { c.ReadQ = 1 << 40 }},
+	} {
+		cfg = DefaultConfig()
+		huge.set(&cfg)
+		if err := cfg.Validate(); !errors.As(err, &ve) || len(ve.Fields) != 1 || ve.Fields[0].Field != huge.field {
+			t.Fatalf("%s = 2^40: Validate = %v, want a %s field error", huge.field, err, huge.field)
+		}
+	}
 	cfg = DefaultConfig()
 	if _, err := NewSystem(cfg, Workload{Programs: nil}); err == nil {
 		t.Fatal("workload/SM mismatch accepted")

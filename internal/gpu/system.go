@@ -142,7 +142,7 @@ func NewSystem(cfg Config, w Workload) (*System, error) {
 		Cfg:    cfg,
 		name:   w.Name,
 		Mapper: addrmap.New(cfg.NumChannels, cfg.NumBanks),
-		Col:    stats.NewCollector(),
+		Col:    stats.NewCollector(cfg.NumSMs, cfg.WarpsPerSM),
 		x:      xbar.New(cfg.NumSMs, cfg.NumChannels, cfg.XbarLat, cfg.XbarQueue),
 		Tel:    telemetry.New(cfg.Telemetry),
 	}
@@ -253,15 +253,15 @@ func (s *System) buildScheduler(ch int) (memctrl.Scheduler, *core.WarpScheduler)
 	case "atlas":
 		return memctrl.NewATLAS(s.atlas), nil
 	case "wg":
-		return ablate(core.New())
+		return ablate(core.New(cfg.NumSMs, cfg.WarpsPerSM))
 	case "wg-m":
-		return ablate(core.New(core.WithCoordination(s.net, ch)))
+		return ablate(core.New(cfg.NumSMs, cfg.WarpsPerSM, core.WithCoordination(s.net, ch)))
 	case "wg-bw":
-		return ablate(core.New(core.WithCoordination(s.net, ch), core.WithMERB()))
+		return ablate(core.New(cfg.NumSMs, cfg.WarpsPerSM, core.WithCoordination(s.net, ch), core.WithMERB()))
 	case "wg-w":
-		return ablate(core.New(core.WithCoordination(s.net, ch), core.WithMERB(), core.WithWriteAware()))
+		return ablate(core.New(cfg.NumSMs, cfg.WarpsPerSM, core.WithCoordination(s.net, ch), core.WithMERB(), core.WithWriteAware()))
 	case "wg-sh":
-		return ablate(core.New(core.WithCoordination(s.net, ch), core.WithMERB(),
+		return ablate(core.New(cfg.NumSMs, cfg.WarpsPerSM, core.WithCoordination(s.net, ch), core.WithMERB(),
 			core.WithWriteAware(), core.WithSharedPriority()))
 	}
 	panic("gpu: unknown scheduler " + cfg.Scheduler)

@@ -20,8 +20,10 @@ func (s *stream) oldestArrive() int64 {
 // RowSorter groups pending read requests into row-hit streams per bank. It
 // is the baseline GMC's sorting structure and is reused by SBWAS and ATLAS.
 type RowSorter struct {
-	byKey   map[[2]int]*stream
-	perBank [][]*stream // streams per bank in creation order
+	// perBank holds each bank's streams in creation order, at most one
+	// per row: a bank's streams are few (its pending rows), so StreamFor
+	// scans them.
+	perBank [][]*stream
 	count   int
 	// free recycles retired stream entries (and their request-slice
 	// capacity): the sorter churns through one entry per row locality
@@ -34,17 +36,13 @@ type RowSorter struct {
 
 // NewRowSorter builds a sorter for numBanks banks.
 func NewRowSorter(numBanks int) *RowSorter {
-	return &RowSorter{
-		byKey:   make(map[[2]int]*stream),
-		perBank: make([][]*stream, numBanks),
-	}
+	return &RowSorter{perBank: make([][]*stream, numBanks)}
 }
 
 // Add merges a request into its stream (creating the stream if needed).
 func (rs *RowSorter) Add(r *memreq.Request, now int64) {
-	key := [2]int{r.Bank, r.Row}
-	s, ok := rs.byKey[key]
-	if !ok {
+	s := rs.StreamFor(r.Bank, r.Row)
+	if s == nil {
 		if n := len(rs.free); n > 0 {
 			s = rs.free[n-1]
 			rs.free = rs.free[:n-1]
@@ -58,7 +56,6 @@ func (rs *RowSorter) Add(r *memreq.Request, now int64) {
 		} else {
 			s = &stream{bank: r.Bank, row: r.Row, created: now}
 		}
-		rs.byKey[key] = s
 		rs.perBank[r.Bank] = append(rs.perBank[r.Bank], s)
 	}
 	s.reqs = append(s.reqs, r)
@@ -70,7 +67,12 @@ func (rs *RowSorter) Count() int { return rs.count }
 
 // StreamFor returns the stream for (bank, row), or nil.
 func (rs *RowSorter) StreamFor(bank, row int) *stream {
-	return rs.byKey[[2]int{bank, row}]
+	for _, s := range rs.perBank[bank] {
+		if s.row == row {
+			return s
+		}
+	}
+	return nil
 }
 
 // OldestStream returns the bank's stream with the oldest head request.
@@ -105,7 +107,6 @@ func (rs *RowSorter) PopFrom(s *stream) *memreq.Request {
 }
 
 func (rs *RowSorter) retire(s *stream) {
-	delete(rs.byKey, [2]int{s.bank, s.row})
 	rs.free = append(rs.free, s)
 	bank := rs.perBank[s.bank]
 	for i, e := range bank {

@@ -41,6 +41,16 @@ type GroupID struct {
 // other ungrouped traffic carry the zero GroupID.
 func (g GroupID) Valid() bool { return g.Load != 0 }
 
+// WarpSlot returns g's warp index in a table of sms × warpsPerSM warps,
+// SM-major, or sms*warpsPerSM (one past the table) when g's warp lies
+// outside that shape.
+func (g GroupID) WarpSlot(sms, warpsPerSM int) int {
+	if int(g.SM) < sms && int(g.Warp) < warpsPerSM {
+		return int(g.SM)*warpsPerSM + int(g.Warp)
+	}
+	return sms * warpsPerSM
+}
+
 // String implements fmt.Stringer.
 func (g GroupID) String() string {
 	if !g.Valid() {

@@ -43,3 +43,21 @@ func TestRequestString(t *testing.T) {
 		}
 	}
 }
+
+func TestWarpSlot(t *testing.T) {
+	for _, c := range []struct {
+		id   GroupID
+		want int
+	}{
+		{GroupID{SM: 0, Warp: 0, Load: 1}, 0},
+		{GroupID{SM: 1, Warp: 2, Load: 1}, 6},
+		{GroupID{SM: 2, Warp: 3, Load: 1}, 11},
+		{GroupID{SM: 3, Warp: 0, Load: 1}, 12}, // SM beyond the table
+		{GroupID{SM: 0, Warp: 4, Load: 1}, 12}, // warp beyond the table
+		{GroupID{SM: 0xffff, Warp: 1, Load: 9}, 12},
+	} {
+		if got := c.id.WarpSlot(3, 4); got != c.want {
+			t.Errorf("%v.WarpSlot(3, 4) = %d, want %d", c.id, got, c.want)
+		}
+	}
+}

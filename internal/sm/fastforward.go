@@ -19,7 +19,7 @@ func (s *SM) SetFrozen(v bool) { s.frozen = v }
 // blocked on a load. A frozen SM always reaches this state once the
 // memory system returns its last response.
 func (s *SM) Quiescent() bool {
-	if s.ReplayLen() > 0 || len(s.waiters) > 0 {
+	if s.ReplayLen() > 0 || s.l1.MSHRCount() > 0 {
 		return false
 	}
 	for _, b := range s.blockedM {

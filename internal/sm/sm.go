@@ -9,7 +9,7 @@
 // pickWarp scan reads every cycle live in flat parallel slices and packed
 // bitmask words on the SM (see the "Data-oriented core" section of
 // DESIGN.md), not on *Warp. The Warp struct keeps only the cold per-warp
-// state (program, pending-response bookkeeping, counters).
+// state (program, outstanding-response count, counters).
 package sm
 
 import (
@@ -56,9 +56,11 @@ type Warp struct {
 	sm         *SM
 	curLoad    uint32
 	loadSerial uint32
-	pending    map[uint32]int // outstanding responses per load serial
-	DoneTick   int64
-	Issued     int64
+	// pending counts curLoad's outstanding responses. Responses to
+	// earlier loads never unblock the warp, so only curLoad is counted.
+	pending  int
+	DoneTick int64
+	Issued   int64
 }
 
 // waiter records an L1 MSHR subscriber: a (warp, load) pair to credit when
@@ -135,10 +137,10 @@ type SM struct {
 	replay []*memreq.Request
 	rHead  int
 
-	waiters map[uint64][]waiter
-	// wsFree recycles drained waiter slices so line-merge bookkeeping
-	// stops allocating once the working set is warm.
-	wsFree [][]waiter
+	// waiters[m.Slot] lists the (warp, load) subscribers of the
+	// in-flight L1 MSHR m, in merge order: one list per MSHR register,
+	// so a drained list keeps its capacity for the slot's next miss.
+	waiters [][]waiter
 
 	// pool recycles request allocations (Config.Pool): responses this SM
 	// has fully absorbed (Deliver) and replay-queue requests filtered by
@@ -215,7 +217,7 @@ func New(cfg Config, programs []Program) *SM {
 	s := &SM{
 		cfg:      cfg,
 		l1:       cache.New(cfg.L1),
-		waiters:  make(map[uint64][]waiter),
+		waiters:  make([][]waiter, cfg.L1.MSHRs),
 		pc:       make([]int32, n),
 		readyAt:  make([]int64, n),
 		doneM:    make([]uint64, words),
@@ -232,7 +234,7 @@ func New(cfg Config, programs []Program) *SM {
 		s.chanIdx = make([]int, cfg.Mapper.Channels)
 	}
 	for i, p := range programs {
-		w := &Warp{ID: i, Prog: p, pending: make(map[uint32]int), sm: s}
+		w := &Warp{ID: i, Prog: p, sm: s}
 		if len(p) == 0 {
 			bitSet(s.doneM, i)
 		} else {
@@ -272,31 +274,14 @@ func (s *SM) gid(w *Warp, load uint32) memreq.GroupID {
 // waiter merged on the line.
 func (s *SM) Deliver(r *memreq.Request, now int64) {
 	s.l1.Fill(r.Addr, false)
-	s.l1.MSHRRelease(r.Addr)
-	ws, ok := s.waiters[r.Addr]
-	if ok {
-		delete(s.waiters, r.Addr)
-	}
-	for _, wt := range ws {
-		s.credit(wt, now)
-	}
-	if ok {
-		s.wsFree = append(s.wsFree, ws[:0])
+	if m := s.l1.MSHRRelease(r.Addr); m != nil {
+		ws := s.waiters[m.Slot]
+		for _, wt := range ws {
+			s.credit(wt, now)
+		}
+		s.waiters[m.Slot] = ws[:0]
 	}
 	s.pool.Put(r) // response fully absorbed; nothing references it now
-}
-
-// addWaiter subscribes a (warp, load) pair to a line fill, reusing a
-// drained waiter slice when one is free.
-func (s *SM) addWaiter(addr uint64, wt waiter) {
-	ws, ok := s.waiters[addr]
-	if !ok {
-		if n := len(s.wsFree); n > 0 {
-			ws = s.wsFree[n-1]
-			s.wsFree = s.wsFree[:n-1]
-		}
-	}
-	s.waiters[addr] = append(ws, wt)
 }
 
 // credit delivers one line response to a (warp, load) subscriber.
@@ -305,13 +290,11 @@ func (s *SM) credit(wt waiter, now int64) {
 		s.cfg.Collector.OnResp(wt.gid, now)
 	}
 	w := wt.w
-	left := w.pending[wt.load] - 1
-	if left <= 0 {
-		delete(w.pending, wt.load)
-	} else {
-		w.pending[wt.load] = left
+	if wt.load != w.curLoad {
+		return
 	}
-	if !bitTest(s.blockedM, w.ID) || wt.load != w.curLoad {
+	w.pending--
+	if !bitTest(s.blockedM, w.ID) {
 		return
 	}
 	if s.cfg.ZeroDivergence {
@@ -321,7 +304,7 @@ func (s *SM) credit(wt waiter, now int64) {
 		s.unblock(w.ID, now, wt.gid)
 		return
 	}
-	if left <= 0 {
+	if w.pending <= 0 {
 		s.unblock(w.ID, now, wt.gid)
 	}
 }
@@ -444,11 +427,12 @@ func (s *SM) drainReplay(now int64) {
 			}
 			if m := s.l1.MSHRFor(r.Addr); m != nil {
 				// Another warp already fetched this line: merge.
-				s.addWaiter(r.Addr, wt)
+				s.waiters[m.Slot] = append(s.waiters[m.Slot], wt)
 				s.dropOrCredit(r)
 				continue
 			}
-			if s.l1.MSHRAlloc(r.Addr) == nil {
+			m := s.l1.MSHRAlloc(r.Addr)
+			if m == nil {
 				return // MSHRs exhausted; stall the queue
 			}
 			if !s.cfg.Inject(r, now) {
@@ -456,7 +440,7 @@ func (s *SM) drainReplay(now int64) {
 				s.l1.MSHRRelease(r.Addr)
 				return
 			}
-			s.addWaiter(r.Addr, wt)
+			s.waiters[m.Slot] = append(s.waiters[m.Slot], wt)
 			s.popReplay()
 			continue
 		}
@@ -632,7 +616,7 @@ func (s *SM) issueLoad(w *Warp, insn Insn, now int64) {
 		// issue gets a matching unblock in a drained run.
 		s.cfg.Probe.LoadIssue(now, gid, len(lines), len(missing))
 	}
-	w.pending[load] = len(missing)
+	w.pending = len(missing)
 	w.curLoad = load
 	bitSet(s.blockedM, w.ID)
 	bitClear(s.liveM, w.ID)

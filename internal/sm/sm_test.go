@@ -21,7 +21,7 @@ type harness struct {
 }
 
 func newHarness(programs []Program, opts ...func(*Config)) *harness {
-	h := &harness{col: stats.NewCollector()}
+	h := &harness{col: stats.NewCollector(1, len(programs))}
 	cfg := Config{
 		ID:     0,
 		Mapper: addrmap.New(6, 16),
@@ -106,6 +106,28 @@ func TestLoadBlocksUntilLastResponse(t *testing.T) {
 	h.run(10, 15)
 	if !h.sm.Done() {
 		t.Fatal("warp stuck after all responses")
+	}
+}
+
+// Quiescent must see lines still in flight after every warp has moved
+// on: under zero divergence the warp retires on the first response while
+// two misses are outstanding, and only the L1's MSHRs show them.
+func TestQuiescentTracksInFlightLines(t *testing.T) {
+	h := newHarness([]Program{{divergentLoad(3), {Kind: Compute}}},
+		func(c *Config) { c.ZeroDivergence = true })
+	if !h.sm.Quiescent() {
+		t.Fatal("fresh SM not quiescent")
+	}
+	h.run(0, 5)
+	h.responses = append(h.responses, h.injected[0])
+	h.run(5, 10)
+	if !h.sm.Done() || h.sm.Quiescent() {
+		t.Fatalf("done %v, quiescent %v with two lines in flight", h.sm.Done(), h.sm.Quiescent())
+	}
+	h.responses = append(h.responses, h.injected[1], h.injected[2])
+	h.run(10, 15)
+	if !h.sm.Quiescent() {
+		t.Fatal("not quiescent after the last response")
 	}
 }
 

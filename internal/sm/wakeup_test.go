@@ -29,7 +29,7 @@ type wakeResp struct {
 func (h *wakeHarness) fingerprint() string {
 	s := h.sm
 	out := fmt.Sprintf("ii=%d at=%d act=%d rep=%d wtr=%d inj=%d|",
-		s.InstrIssued, s.ActiveTicks, s.active, s.ReplayLen(), len(s.waiters), h.injected)
+		s.InstrIssued, s.ActiveTicks, s.active, s.ReplayLen(), s.l1.MSHRCount(), h.injected)
 	for _, w := range s.warps {
 		out += fmt.Sprintf("w%d:%d,%d,%v,%v,%d;", w.ID, s.pc[w.ID], w.Issued, w.Blocked(), w.Done(), s.readyAt[w.ID])
 	}

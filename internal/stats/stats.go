@@ -39,13 +39,23 @@ type GroupRec struct {
 	RespSeen  int
 
 	Completed bool
+
+	// next links the live records that share a warp slot (Collector.live).
+	next *GroupRec
 }
 
 // Collector aggregates GroupRecs for one simulation run. It is not safe
 // for concurrent use.
 type Collector struct {
-	groups map[memreq.GroupID]*GroupRec
-	done   []*GroupRec
+	// live[SM*warpsPerSM+Warp] heads the chain of that warp's unfinalized
+	// records, newest first; the last chain holds IDs outside the machine
+	// shape. A warp has one live load at a time, except under the Fig 4
+	// zero-divergence ideal, which unblocks it on the first response.
+	live        []*GroupRec
+	sms         int
+	warpsPerSM  int
+	outstanding int
+	done        []*GroupRec
 	// recs is the chunk new records are carved from: one allocation per
 	// recChunk records instead of one per warp-load. A full chunk is
 	// replaced, never grown, so handed-out *GroupRec pointers stay valid.
@@ -76,9 +86,29 @@ func (c *Collector) newRec() *GroupRec {
 	return &c.recs[len(c.recs)-1]
 }
 
-// NewCollector returns an empty collector.
-func NewCollector() *Collector {
-	return &Collector{groups: make(map[memreq.GroupID]*GroupRec)}
+// NewCollector returns an empty collector for a machine of sms SMs with
+// warpsPerSM warps each.
+func NewCollector(sms, warpsPerSM int) *Collector {
+	return &Collector{
+		live:       make([]*GroupRec, sms*warpsPerSM+1),
+		sms:        sms,
+		warpsPerSM: warpsPerSM,
+	}
+}
+
+// chain returns the head of id's live-record chain.
+func (c *Collector) chain(id memreq.GroupID) **GroupRec {
+	return &c.live[id.WarpSlot(c.sms, c.warpsPerSM)]
+}
+
+// find returns id's live record, or nil.
+func (c *Collector) find(id memreq.GroupID) *GroupRec {
+	for g := *c.chain(id); g != nil; g = g.next {
+		if g.ID == id {
+			return g
+		}
+	}
+	return nil
 }
 
 // OnLoadIssue records a warp-load leaving the coalescer. sent is the
@@ -97,7 +127,10 @@ func (c *Collector) OnLoadIssue(id memreq.GroupID, now int64, lines, sent int) {
 		ID: id, IssueTick: now, Lines: lines, Sent: sent,
 		FirstDRAMDone: -1, FirstResp: -1,
 	}
-	c.groups[id] = g
+	head := c.chain(id)
+	g.next = *head
+	*head = g
+	c.outstanding++
 }
 
 // OnStoreIssue records a store leaving the coalescer.
@@ -109,7 +142,7 @@ func (c *Collector) OnStoreIssue(lines int) {
 // OnMCArrive records a request of the group entering controller ch's read
 // queue.
 func (c *Collector) OnMCArrive(id memreq.GroupID, ch int) {
-	if g, ok := c.groups[id]; ok {
+	if g := c.find(id); g != nil {
 		g.MCArrived++
 		g.Channels.Add(ch)
 	}
@@ -117,8 +150,8 @@ func (c *Collector) OnMCArrive(id memreq.GroupID, ch int) {
 
 // OnDRAMDone records DRAM finishing one of the group's requests.
 func (c *Collector) OnDRAMDone(id memreq.GroupID, now int64) {
-	g, ok := c.groups[id]
-	if !ok {
+	g := c.find(id)
+	if g == nil {
 		return
 	}
 	if g.FirstDRAMDone < 0 {
@@ -133,8 +166,8 @@ func (c *Collector) OnDRAMDone(id memreq.GroupID, now int64) {
 // OnResp records one response reaching the SM; when the expected count is
 // reached the group is finalized.
 func (c *Collector) OnResp(id memreq.GroupID, now int64) {
-	g, ok := c.groups[id]
-	if !ok {
+	g := c.find(id)
+	if g == nil {
 		return
 	}
 	if g.FirstResp < 0 {
@@ -147,7 +180,13 @@ func (c *Collector) OnResp(id memreq.GroupID, now int64) {
 	if g.RespSeen >= g.Sent && !g.Completed {
 		g.Completed = true
 		c.done = append(c.done, g)
-		delete(c.groups, id)
+		for p := c.chain(id); ; p = &(*p).next {
+			if *p == g {
+				*p, g.next = g.next, nil
+				break
+			}
+		}
+		c.outstanding--
 	}
 }
 
@@ -193,7 +232,7 @@ func (c *Collector) AddModeled(loads, multiReq, lines, stores, storeLines int64)
 
 // Outstanding returns the number of unfinalized groups (should be zero at
 // the end of a drained run).
-func (c *Collector) Outstanding() int { return len(c.groups) }
+func (c *Collector) Outstanding() int { return c.outstanding }
 
 // Summary is the digest of one run's warp-load behaviour.
 type Summary struct {

@@ -9,7 +9,7 @@ import (
 func gid(load uint32) memreq.GroupID { return memreq.GroupID{SM: 1, Warp: 2, Load: load} }
 
 func TestFullyResidentLoadNotTracked(t *testing.T) {
-	c := NewCollector()
+	c := NewCollector(2, 4)
 	c.OnLoadIssue(gid(1), 100, 4, 0)
 	if c.Outstanding() != 0 {
 		t.Fatal("fully resident load tracked as group")
@@ -20,7 +20,7 @@ func TestFullyResidentLoadNotTracked(t *testing.T) {
 }
 
 func TestGroupLifecycle(t *testing.T) {
-	c := NewCollector()
+	c := NewCollector(2, 4)
 	c.OnLoadIssue(gid(1), 100, 6, 3)
 	if c.Outstanding() != 1 {
 		t.Fatal("group not tracked")
@@ -51,18 +51,22 @@ func TestGroupLifecycle(t *testing.T) {
 	}
 }
 
+// Events for a group never issued are ignored, whether its warp lies in
+// the collector's 2x4 warp table (gid(9)) or beyond it (sm9.w40).
 func TestEventsForUnknownGroupIgnored(t *testing.T) {
-	c := NewCollector()
-	c.OnMCArrive(gid(9), 0)
-	c.OnDRAMDone(gid(9), 10)
-	c.OnResp(gid(9), 20)
+	c := NewCollector(2, 4)
+	for _, id := range []memreq.GroupID{gid(9), {SM: 9, Warp: 40, Load: 9}} {
+		c.OnMCArrive(id, 0)
+		c.OnDRAMDone(id, 10)
+		c.OnResp(id, 20)
+	}
 	if c.Outstanding() != 0 || len(c.Done()) != 0 {
 		t.Fatal("phantom group created")
 	}
 }
 
 func TestSummarize(t *testing.T) {
-	c := NewCollector()
+	c := NewCollector(2, 4)
 	// Load 1: two requests, both DRAM-serviced on two channels.
 	c.OnLoadIssue(gid(1), 0, 2, 2)
 	c.OnMCArrive(gid(1), 0)
@@ -109,7 +113,7 @@ func TestSummarize(t *testing.T) {
 }
 
 func TestStores(t *testing.T) {
-	c := NewCollector()
+	c := NewCollector(2, 4)
 	c.OnStoreIssue(3)
 	c.OnStoreIssue(1)
 	if c.Stores != 2 || c.StoreLines != 4 {
@@ -118,7 +122,7 @@ func TestStores(t *testing.T) {
 }
 
 func TestEmptySummary(t *testing.T) {
-	s := NewCollector().Summarize()
+	s := NewCollector(2, 4).Summarize()
 	if s.Loads != 0 || s.ReqsPerLoad != 0 || s.EffectiveLatency != 0 {
 		t.Fatalf("empty summary %+v", s)
 	}
@@ -151,7 +155,7 @@ func TestChannelSet(t *testing.T) {
 // not truncate the Fig 3 controllers-touched count (the old uint32 mask
 // aliased channel 32 onto channel 0).
 func TestChannelSetWide(t *testing.T) {
-	c := NewCollector()
+	c := NewCollector(2, 4)
 	c.OnLoadIssue(gid(1), 0, 80, 80)
 	for ch := 0; ch < 80; ch++ {
 		c.OnMCArrive(gid(1), ch)
@@ -169,7 +173,7 @@ func TestChannelSetWide(t *testing.T) {
 // Gaps must return the finished groups' gaps sorted (groups finish here in
 // descending gap order), and PercentileOf interpolates between ranks.
 func TestPercentile(t *testing.T) {
-	c := NewCollector()
+	c := NewCollector(2, 4)
 	for i := 10; i >= 1; i-- {
 		g := gid(uint32(i))
 		c.OnLoadIssue(g, 0, 2, 2)
@@ -195,7 +199,7 @@ func TestPercentile(t *testing.T) {
 			t.Fatalf("p%v = %v, want %v", tc.p, got, tc.want)
 		}
 	}
-	if PercentileOf(NewCollector().Gaps(), 50) != 0 {
+	if PercentileOf(NewCollector(2, 4).Gaps(), 50) != 0 {
 		t.Fatal("empty percentile not 0")
 	}
 }
@@ -227,7 +231,7 @@ func TestPercentileOf(t *testing.T) {
 // TestPercentileSingleGroup covers the n=1 degenerate distribution: every
 // percentile is the lone gap.
 func TestPercentileSingleGroup(t *testing.T) {
-	c := NewCollector()
+	c := NewCollector(2, 4)
 	c.OnLoadIssue(gid(1), 0, 2, 2)
 	c.OnDRAMDone(gid(1), 100)
 	c.OnDRAMDone(gid(1), 140)
@@ -241,7 +245,7 @@ func TestPercentileSingleGroup(t *testing.T) {
 }
 
 func TestOutstandingAtDrain(t *testing.T) {
-	c := NewCollector()
+	c := NewCollector(2, 4)
 	c.OnLoadIssue(gid(1), 0, 2, 2)
 	c.OnLoadIssue(gid(2), 0, 3, 3)
 	c.OnResp(gid(1), 50)
@@ -261,7 +265,7 @@ func TestOutstandingAtDrain(t *testing.T) {
 // TestDuplicateFinalizationGuard pins that responses beyond Sent cannot
 // finalize (and double-append) a group twice.
 func TestDuplicateFinalizationGuard(t *testing.T) {
-	c := NewCollector()
+	c := NewCollector(2, 4)
 	c.OnLoadIssue(gid(1), 0, 1, 1)
 	c.OnResp(gid(1), 10)
 	c.OnResp(gid(1), 20) // late duplicate: group already finalized+removed
@@ -276,7 +280,7 @@ func TestDuplicateFinalizationGuard(t *testing.T) {
 // TestOnLoadIssueZeroSentThenEvents covers the sent==0 path followed by
 // stray downstream events for the same ID: nothing may be tracked.
 func TestOnLoadIssueZeroSentThenEvents(t *testing.T) {
-	c := NewCollector()
+	c := NewCollector(2, 4)
 	c.OnLoadIssue(gid(7), 0, 2, 0)
 	c.OnMCArrive(gid(7), 1)
 	c.OnDRAMDone(gid(7), 30)
@@ -286,5 +290,76 @@ func TestOnLoadIssueZeroSentThenEvents(t *testing.T) {
 	}
 	if s := c.Summarize(); s.Loads != 1 || s.MemGroups != 0 {
 		t.Fatalf("summary %+v", s)
+	}
+}
+
+// Under the zero-divergence ideal a warp can hold two live loads: each
+// keeps its own record, and finishing the younger first leaves the older
+// one tracked. Groups of warps beyond the warp table are tracked too.
+func TestTwoLiveGroupsOnOneWarp(t *testing.T) {
+	c := NewCollector(2, 4)
+	beyond := memreq.GroupID{SM: 7, Warp: 9, Load: 1}
+	c.OnLoadIssue(gid(1), 0, 2, 2)
+	c.OnLoadIssue(gid(2), 5, 1, 1)
+	c.OnLoadIssue(beyond, 6, 1, 1)
+	c.OnDRAMDone(gid(1), 40)
+	c.OnResp(gid(1), 50) // first response of load 1
+	c.OnDRAMDone(gid(2), 60)
+	c.OnResp(gid(2), 70) // load 2 finishes first
+	if c.Outstanding() != 2 || len(c.Done()) != 1 || c.Done()[0].ID != gid(2) {
+		t.Fatalf("after load 2: outstanding %d, done %v", c.Outstanding(), c.Done())
+	}
+	c.OnDRAMDone(gid(1), 80)
+	c.OnResp(gid(1), 90)
+	c.OnResp(beyond, 95)
+	if c.Outstanding() != 0 || len(c.Done()) != 3 {
+		t.Fatalf("outstanding %d, done %d", c.Outstanding(), len(c.Done()))
+	}
+	g1 := c.Done()[1]
+	if g1.ID != gid(1) || g1.FirstResp != 50 || g1.LastResp != 90 || g1.DRAMDone != 2 || g1.IssueTick != 0 {
+		t.Fatalf("load 1 record %+v", g1)
+	}
+	if g2 := c.Done()[0]; g2.FirstResp != 70 || g2.LastResp != 70 || g2.IssueTick != 5 {
+		t.Fatalf("load 2 record %+v", g2)
+	}
+	if c.Done()[2].ID != beyond {
+		t.Fatalf("beyond-table record %+v", c.Done()[2])
+	}
+}
+
+// TestCollectorSteadyStateAllocs pins that tracking a warp-load costs no
+// allocation beyond its record: issue, MC arrival, DRAM completion and
+// response lookups on the warp table, and finalization. The records and
+// the done list are the run's output and are retained by design (one
+// record chunk per 256 loads), so each run hands them back first.
+func TestCollectorSteadyStateAllocs(t *testing.T) {
+	c := NewCollector(2, 4)
+	var serial uint32
+	run := func() {
+		c.done, c.recs = c.done[:0], c.recs[:0]
+		for w := uint16(0); w < 4; w++ {
+			// Two overlapping loads per warp, finished oldest-last.
+			a := memreq.GroupID{SM: 1, Warp: w, Load: serial + 1}
+			b := memreq.GroupID{SM: 1, Warp: w, Load: serial + 2}
+			c.OnLoadIssue(a, 0, 2, 2)
+			c.OnLoadIssue(b, 1, 1, 1)
+			for _, id := range []memreq.GroupID{a, b, a} {
+				c.OnMCArrive(id, 3)
+				c.OnDRAMDone(id, 10)
+			}
+			c.OnResp(a, 20)
+			c.OnResp(b, 30)
+			c.OnResp(a, 40)
+		}
+		serial += 2
+	}
+	for i := 0; i < 10; i++ {
+		run()
+	}
+	if avg := testing.AllocsPerRun(100, run); avg != 0 {
+		t.Fatalf("warm issue/finalize loop allocated %.2f times per run, want 0", avg)
+	}
+	if c.Outstanding() != 0 {
+		t.Fatalf("outstanding %d", c.Outstanding())
 	}
 }

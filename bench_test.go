@@ -6,18 +6,16 @@ package dramlat
 
 import "testing"
 
-// benchEngine times one full simulation per iteration under the given
-// engine and reports simulated-ticks/second; scripts/bench records the
-// end-to-end and per-layer numbers for the benchmark workloads.
-// Allocation counts are reported so -benchmem tracks the
+// BenchmarkRunEventDriven times one full simulation per iteration on
+// the exact engine and reports simulated-ticks/second; scripts/bench
+// records the end-to-end and per-layer numbers for the benchmark
+// workloads. Allocation counts are reported so -benchmem tracks the
 // request-freelist and ring-buffer hot paths.
-func benchEngine(b *testing.B, engine string) {
+func BenchmarkRunEventDriven(b *testing.B) {
 	b.ReportAllocs()
 	var ticks int64
 	for i := 0; i < b.N; i++ {
-		res, err := Run(RunSpec{
-			Benchmark: "bfs", Scheduler: "wg-w", Scale: 0.1, Engine: engine,
-		})
+		res, err := Run(RunSpec{Benchmark: "bfs", Scheduler: "wg-w", Scale: 0.1})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -25,9 +23,6 @@ func benchEngine(b *testing.B, engine string) {
 	}
 	b.ReportMetric(float64(ticks)/b.Elapsed().Seconds(), "sim-ticks/s")
 }
-
-// BenchmarkRunEventDriven times the event engine.
-func BenchmarkRunEventDriven(b *testing.B) { benchEngine(b, "event") }
 
 // BenchmarkRunSampled times the interval-sampling engine at full scale
 // (scale 0.1 kernels end inside the settle prefix, leaving nothing to
@@ -39,7 +34,7 @@ func BenchmarkRunSampled(b *testing.B) {
 	var ticks int64
 	for i := 0; i < b.N; i++ {
 		res, err := Run(RunSpec{
-			Benchmark: "bfs", Scheduler: "wg-w", Engine: "sampled",
+			Benchmark: "bfs", Scheduler: "wg-w", Sampled: DefaultSampled(),
 		})
 		if err != nil {
 			b.Fatal(err)

@@ -2,7 +2,6 @@ package dramlat
 
 import (
 	"errors"
-	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -22,102 +21,90 @@ func chaosSpec(sched string) RunSpec {
 	}
 }
 
-// chaosEngines is every engine the fault-injection suite must cover.
-var chaosEngines = []string{"event"}
-
 // A partition that stops answering (the observable shape of a late
 // NextWakeup contract violation) must trip the liveness watchdog on
-// every scheduler under every engine — never hang, never run to the
-// 50M-cycle default budget.
+// every scheduler — never hang, never run to the 50M-cycle default
+// budget.
 func TestChaosLateWakeupTripsWatchdog(t *testing.T) {
 	for _, sched := range Schedulers() {
-		for _, engine := range chaosEngines {
-			t.Run(sched+"/"+engine, func(t *testing.T) {
-				spec := chaosSpec(sched)
-				spec.Engine = engine
-				spec.Chaos = &Faults{
-					WakeTarget: chaos.TargetPartition, WakeIndex: 0, WakeAfter: 200,
-				}
-				_, err := Run(spec)
-				if err == nil {
-					t.Fatal("comatose partition went unnoticed")
-				}
-				var stall *StallError
-				if !errors.As(err, &stall) {
-					t.Fatalf("want *StallError, got %T: %v", err, err)
-				}
-				if stall.Kind != StallNoProgress {
-					t.Fatalf("kind = %q, want %q (err: %v)", stall.Kind, StallNoProgress, err)
-				}
-				if stall.Dump.LiveWarps() == 0 {
-					t.Fatal("stall dump shows no live warps despite the hang")
-				}
-				if s := stall.Dump.String(); !strings.Contains(s, "stall dump") {
-					t.Fatalf("dump not rendered: %q", s)
-				}
-			})
-		}
+		t.Run(sched, func(t *testing.T) {
+			spec := chaosSpec(sched)
+			spec.Chaos = &Faults{
+				WakeTarget: chaos.TargetPartition, WakeIndex: 0, WakeAfter: 200,
+			}
+			_, err := Run(spec)
+			if err == nil {
+				t.Fatal("comatose partition went unnoticed")
+			}
+			var stall *StallError
+			if !errors.As(err, &stall) {
+				t.Fatalf("want *StallError, got %T: %v", err, err)
+			}
+			if stall.Kind != StallNoProgress {
+				t.Fatalf("kind = %q, want %q (err: %v)", stall.Kind, StallNoProgress, err)
+			}
+			if stall.Dump.LiveWarps() == 0 {
+				t.Fatal("stall dump shows no live warps despite the hang")
+			}
+			if s := stall.Dump.String(); !strings.Contains(s, "stall dump") {
+				t.Fatalf("dump not rendered: %q", s)
+			}
+		})
 	}
 }
 
 // The same fault aimed at an SM: its warps never retire, so after the
 // rest of the machine drains the progress vector flatlines.
 func TestChaosLateSMWakeupTripsWatchdog(t *testing.T) {
-	for _, engine := range chaosEngines {
-		spec := chaosSpec("wg-w")
-		spec.Engine = engine
-		spec.Chaos = &Faults{WakeTarget: chaos.TargetSM, WakeIndex: 1, WakeAfter: 200}
-		_, err := Run(spec)
-		var stall *StallError
-		if !errors.As(err, &stall) {
-			t.Fatalf("engine=%s: want *StallError, got %v", engine, err)
+	spec := chaosSpec("wg-w")
+	spec.Chaos = &Faults{WakeTarget: chaos.TargetSM, WakeIndex: 1, WakeAfter: 200}
+	_, err := Run(spec)
+	var stall *StallError
+	if !errors.As(err, &stall) {
+		t.Fatalf("want *StallError, got %v", err)
+	}
+	if stall.Kind != StallNoProgress {
+		t.Fatalf("kind = %q", stall.Kind)
+	}
+	// The dump must finger SM 1 as still holding live warps.
+	var sm1Live int
+	for _, s := range stall.Dump.SMs {
+		if s.ID == 1 {
+			sm1Live = s.LiveWarps
 		}
-		if stall.Kind != StallNoProgress {
-			t.Fatalf("engine=%s: kind = %q", engine, stall.Kind)
-		}
-		// The dump must finger SM 1 as still holding live warps.
-		var sm1Live int
-		for _, s := range stall.Dump.SMs {
-			if s.ID == 1 {
-				sm1Live = s.LiveWarps
-			}
-		}
-		if sm1Live == 0 {
-			t.Fatalf("engine=%s: dump does not show the comatose SM's stranded warps", engine)
-		}
+	}
+	if sm1Live == 0 {
+		t.Fatal("dump does not show the comatose SM's stranded warps")
 	}
 }
 
 // A forced mid-run panic must come back as a *RunError carrying the
 // spec hash, the run phase and the cycle — Run never panics.
 func TestChaosForcedPanicRecovered(t *testing.T) {
-	for _, engine := range chaosEngines {
-		spec := chaosSpec("gmc")
-		spec.Engine = engine
-		spec.Chaos = &Faults{PanicAtCycle: 500}
-		_, err := Run(spec)
-		if err == nil {
-			t.Fatalf("engine=%s: forced panic vanished", engine)
-		}
-		var re *RunError
-		if !errors.As(err, &re) {
-			t.Fatalf("engine=%s: want *RunError, got %T: %v", engine, err, err)
-		}
-		if re.SpecHash != spec.Hash() {
-			t.Fatalf("engine=%s: RunError hash %s != spec hash %s", engine, re.SpecHash, spec.Hash())
-		}
-		if re.Phase != "run" {
-			t.Fatalf("engine=%s: phase %q", engine, re.Phase)
-		}
-		if re.Cycle < 500 {
-			t.Fatalf("engine=%s: cycle %d before the armed tick", engine, re.Cycle)
-		}
-		if re.Stack == "" {
-			t.Fatalf("engine=%s: no stack captured", engine)
-		}
-		if !strings.Contains(err.Error(), "panic") {
-			t.Fatalf("engine=%s: error message hides the panic: %v", engine, err)
-		}
+	spec := chaosSpec("gmc")
+	spec.Chaos = &Faults{PanicAtCycle: 500}
+	_, err := Run(spec)
+	if err == nil {
+		t.Fatal("forced panic vanished")
+	}
+	var re *RunError
+	if !errors.As(err, &re) {
+		t.Fatalf("want *RunError, got %T: %v", err, err)
+	}
+	if re.SpecHash != spec.Hash() {
+		t.Fatalf("RunError hash %s != spec hash %s", re.SpecHash, spec.Hash())
+	}
+	if re.Phase != "run" {
+		t.Fatalf("phase %q", re.Phase)
+	}
+	if re.Cycle < 500 {
+		t.Fatalf("cycle %d before the armed tick", re.Cycle)
+	}
+	if re.Stack == "" {
+		t.Fatal("no stack captured")
+	}
+	if !strings.Contains(err.Error(), "panic") {
+		t.Fatalf("error message hides the panic: %v", err)
 	}
 }
 
@@ -167,38 +154,27 @@ func TestStopChannelAborts(t *testing.T) {
 	}
 }
 
-// Exhausting MaxCycles returns a typed cycle-budget StallError, and the
-// partial Results at the cap are byte-identical across engines (the
-// differential invariant holds for truncated runs too).
+// Exhausting MaxCycles returns a typed cycle-budget StallError with
+// partial Results and a dump of the warps still live at the cap.
 func TestMaxCyclesStallError(t *testing.T) {
-	run := func(engine string) (Results, *StallError) {
-		spec := RunSpec{
-			Benchmark: "bfs", Scheduler: "wg-w",
-			Scale: 0.05, SMs: 4, WarpsPerSM: 8,
-			MaxCycles: 500, Engine: engine,
-		}
-		res, err := Run(spec)
-		var stall *StallError
-		if !errors.As(err, &stall) {
-			t.Fatalf("engine=%s: want *StallError, got %v", engine, err)
-		}
-		return res, stall
+	spec := RunSpec{
+		Benchmark: "bfs", Scheduler: "wg-w",
+		Scale: 0.05, SMs: 4, WarpsPerSM: 8,
+		MaxCycles: 500,
 	}
-	eventRes, eventStall := run("event")
-	if eventStall.Kind != StallCycleBudget {
-		t.Fatalf("kind = %q", eventStall.Kind)
+	res, err := Run(spec)
+	var stall *StallError
+	if !errors.As(err, &stall) {
+		t.Fatalf("want *StallError, got %v", err)
 	}
-	if eventStall.Dump.LiveWarps() == 0 {
+	if stall.Kind != StallCycleBudget {
+		t.Fatalf("kind = %q", stall.Kind)
+	}
+	if stall.Dump.LiveWarps() == 0 {
 		t.Fatal("no live warps in the cycle-budget dump")
 	}
-	for _, engine := range chaosEngines[1:] {
-		res, stall := run(engine)
-		if stall.Kind != StallCycleBudget {
-			t.Fatalf("engine=%s: kind = %q", engine, stall.Kind)
-		}
-		if !reflect.DeepEqual(eventRes, res) {
-			t.Fatalf("truncated results diverge\nevent: %+v\n%s: %+v", eventRes, engine, res)
-		}
+	if res.Drained {
+		t.Fatal("capped run claims to have drained")
 	}
 }
 
@@ -239,31 +215,33 @@ func TestRunSpecValidate(t *testing.T) {
 			t.Fatalf("scheduler %q not reported as a Scheduler field error: %v", sched, err)
 		}
 	}
-
-	unknown := good
-	unknown.Engine = "quantum"
-	if err := unknown.Validate(); !errors.As(err, &ve) || ve.Fields[0].Field != "Engine" {
-		t.Fatalf("unknown engine not reported as an Engine field error: %v", err)
-	}
 }
 
-// TestEngineValidation: the engine knob validates without running. Every
-// listed engine and the empty default are accepted; any other name,
-// including the retired "parallel" and "dense", is an Engine field error.
+// TestEngineValidation: gpu.Config.Engine accepts only "" (the exact
+// engine) and "sampled", the value RunSpec.Config sets for a non-zero
+// Sampled block. Any other name, including the retired "event",
+// "parallel" and "dense", is an Engine field error.
 func TestEngineValidation(t *testing.T) {
 	spec := RunSpec{Benchmark: "bfs", Scheduler: "wg-w", Scale: 0.05, SMs: 2, WarpsPerSM: 4}
-	for _, engine := range append([]string{""}, gpu.Engines()...) {
-		ok := spec
-		ok.Engine = engine
-		if err := ok.Validate(); err != nil {
+	if got := Config(spec).Engine; got != "" {
+		t.Fatalf("exact spec maps to engine %q", got)
+	}
+	spec.Sampled = DefaultSampled()
+	if got := Config(spec).Engine; got != gpu.EngineSampled {
+		t.Fatalf("sampled spec maps to engine %q", got)
+	}
+	for _, engine := range []string{"", gpu.EngineSampled} {
+		cfg := Config(spec)
+		cfg.Engine = engine
+		if err := cfg.Validate(); err != nil {
 			t.Fatalf("engine %q rejected: %v", engine, err)
 		}
 	}
 	var ve *ValidationError
-	for _, engine := range []string{"quantum", "parallel", "dense"} {
-		bad := spec
-		bad.Engine = engine
-		if err := bad.Validate(); !errors.As(err, &ve) || ve.Fields[0].Field != "Engine" {
+	for _, engine := range []string{"event", "quantum", "parallel", "dense"} {
+		cfg := Config(spec)
+		cfg.Engine = engine
+		if err := cfg.Validate(); !errors.As(err, &ve) || ve.Fields[0].Field != "Engine" {
 			t.Fatalf("engine %q not reported as an Engine field error: %v", engine, err)
 		}
 	}

@@ -63,7 +63,6 @@ type runner struct {
 	seed       int64
 	seeds      int // >1: average kernel times over this many seeds
 	ablation   string
-	engine     string
 	out        io.Writer
 	*pass
 }
@@ -127,7 +126,7 @@ func (r *runner) spec(bench, sched string, perfect, zerodiv bool, alpha float64)
 		Benchmark: bench, Scheduler: sched, Scale: r.scale,
 		SMs: r.sms, WarpsPerSM: r.warps, Seed: r.seed,
 		PerfectCoalescing: perfect, ZeroDivergence: zerodiv, SBWASAlpha: alpha,
-		Ablation: r.ablation, Engine: r.engine,
+		Ablation: r.ablation,
 	}
 }
 
@@ -184,7 +183,6 @@ func main() {
 	seed := flag.Int64("seed", 1, "workload seed")
 	seeds := flag.Int("seeds", 1, "average kernel times over this many seeds")
 	workers := flag.Int("workers", 0, "parallel simulations (0 = GOMAXPROCS)")
-	engine := flag.String("engine", "", "simulation engine: event (exact, the default) or sampled (approximate paper numbers — error bars are not printed, prefer the exact engine here)")
 	cacheDir := flag.String("cache", sweep.DefaultCacheDir(), "persistent result cache dir (\"none\" disables)")
 	jsonOut := flag.String("json", "", "also write every run as sweep JSON to this file (\"-\" = stdout)")
 	pf := prof.Register()
@@ -236,7 +234,7 @@ func main() {
 	// written — re-running the same command resumes from the cache.
 	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer cancel()
-	r := runner{scale: *scale, sms: *sms, warps: *warps, seed: *seed, seeds: *seeds, engine: *engine}
+	r := runner{scale: *scale, sms: *sms, warps: *warps, seed: *seed, seeds: *seeds}
 
 	specs := play(r, selected, nil, io.Discard)
 	rep := eng.RunContext(ctx, specs)

@@ -5,8 +5,10 @@
 //
 //	dlsim -bench bfs -sched wg-w [-scale 0.5] [-sms 30] [-warps 32]
 //	      [-perfect] [-zerodiv] [-alpha 0.5] [-seed 1]
-//	      [-engine event|sampled]
-//	      [-sample-window W] [-sample-ff F] [-sample-warmup U]
+//	      [-ablation A] [-json] [-list]
+//
+// It always runs the exact engine; the sampled engine is reachable only
+// through RunSpec.Sampled.
 package main
 
 import (
@@ -30,10 +32,6 @@ func main() {
 	perfect := flag.Bool("perfect", false, "ideal: perfect coalescing (Fig 4)")
 	zerodiv := flag.Bool("zerodiv", false, "ideal: zero latency divergence (Fig 4)")
 	ablation := flag.String("ablation", "", "warp-aware ablation: count-score|no-orphan|no-credits")
-	engine := flag.String("engine", "", "simulation engine: event (exact, the default) or sampled (approximate, with error bars)")
-	sampleWindow := flag.Int64("sample-window", 0, "sampled engine: detailed measurement window cycles (0 = default)")
-	sampleFF := flag.Int64("sample-ff", 0, "sampled engine: fast-forward cycles per region (0 = default)")
-	sampleWarmup := flag.Int64("sample-warmup", 0, "sampled engine: detailed warm-up cycles after each jump (0 = default)")
 	jsonOut := flag.Bool("json", false, "emit the full Results struct as JSON")
 	list := flag.Bool("list", false, "list benchmarks and exit")
 	flag.Parse()
@@ -54,14 +52,6 @@ func main() {
 		SMs: *sms, WarpsPerSM: *warps, Seed: *seed,
 		PerfectCoalescing: *perfect, ZeroDivergence: *zerodiv,
 		SBWASAlpha: *alpha, Ablation: *ablation,
-		Engine: *engine,
-	}
-	if *sampleWindow != 0 || *sampleFF != 0 || *sampleWarmup != 0 {
-		spec.Sampled = dramlat.SampledOptions{
-			WindowCycles:      *sampleWindow,
-			FastForwardCycles: *sampleFF,
-			WarmupCycles:      *sampleWarmup,
-		}
 	}
 	res, err := dramlat.Run(spec)
 	if err != nil {
@@ -80,13 +70,6 @@ func main() {
 	s := res.Summary
 	fmt.Printf("benchmark            %s\n", res.Workload)
 	fmt.Printf("scheduler            %s\n", res.Scheduler)
-	if res.Approximate && res.Sampling != nil {
-		sp := res.Sampling
-		fmt.Printf("APPROXIMATE          sampled engine: %d windows, %d detailed + %d modeled cycles\n",
-			sp.Windows, sp.DetailedTicks, sp.ModeledTicks)
-		fmt.Printf("95%% CI half-widths   IPC ±%.3f, gap p50 ±%.0f, p90 ±%.0f, p99 ±%.0f\n",
-			sp.IPCErr, sp.GapP50Err, sp.GapP90Err, sp.GapP99Err)
-	}
 	fmt.Printf("kernel ticks         %d (%.1f us)\n", res.Ticks, float64(res.Ticks)*0.667e-3)
 	fmt.Printf("instructions         %d\n", res.Instr)
 	fmt.Printf("IPC                  %.3f\n", res.IPC)

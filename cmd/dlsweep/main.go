@@ -121,10 +121,6 @@ func main() {
 	ablations := flag.String("ablation", "", "comma list of ablations (count-score,no-orphan,no-credits)")
 	warpscheds := flag.String("warpsched", "", "comma list of SM warp schedulers (gto,lrr)")
 	workers := flag.Int("workers", 0, "parallel simulations (0 = GOMAXPROCS)")
-	engine := flag.String("engine", "", "simulation engine: event (exact, the default) or sampled (approximate, with error bars, cached separately)")
-	sampleWindow := flag.Int64("sample-window", 0, "sampled engine: detailed measurement window cycles (0 = default)")
-	sampleFF := flag.Int64("sample-ff", 0, "sampled engine: fast-forward cycles per region (0 = default)")
-	sampleWarmup := flag.Int64("sample-warmup", 0, "sampled engine: detailed warm-up cycles after each jump (0 = default)")
 	runTimeout := flag.Duration("timeout", 0, "per-run wall-clock budget (0 = none); overruns fail like any other spec")
 	cacheDir := flag.String("cache", sweep.DefaultCacheDir(), "persistent result cache dir (\"none\" disables)")
 	format := flag.String("format", "json", "output format: json or csv")
@@ -206,28 +202,6 @@ func main() {
 	}
 
 	specs := g.Enumerate()
-	sampled := *engine == "sampled" || *sampleWindow != 0 || *sampleFF != 0 || *sampleWarmup != 0
-	if sampled {
-		if *traceDir != "" {
-			fail(fmt.Errorf("-engine sampled cannot be combined with -trace-dir: fast-forward regions are modeled and have no events to capture"))
-		}
-		// Materialize the hash-included Sampled block on every spec
-		// before any hashing happens: the Engine string is excluded from
-		// the hash, so the Sampled block is what keeps approximate
-		// results in their own cache entries, never shared with exact
-		// runs.
-		opts := dramlat.SampledOptions{
-			WindowCycles:      *sampleWindow,
-			FastForwardCycles: *sampleFF,
-			WarmupCycles:      *sampleWarmup,
-		}
-		if !opts.Enabled() {
-			opts = dramlat.DefaultSampled()
-		}
-		for i := range specs {
-			specs[i].Sampled = opts
-		}
-	}
 	var cache *sweep.Cache
 	if *cacheDir != "" && *cacheDir != "none" {
 		var err error
@@ -244,9 +218,6 @@ func main() {
 		eng.Runner = sweep.TraceRunner(*traceDir, dramlat.TelemetryOptions{
 			Events: *traceEvents, EventCap: *traceCap, SampleEvery: *sampleEvery,
 		})
-	}
-	for i := range specs {
-		specs[i].Engine = *engine
 	}
 	nw := *workers
 	if nw <= 0 {

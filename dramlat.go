@@ -75,20 +75,14 @@ type RunSpec struct {
 	// traced and untraced runs share a result-cache entry.
 	Telemetry telemetry.Options `json:"-"`
 
-	// Engine selects the simulation engine: "" / "event" (the exact
-	// default) or "sampled". The field is excluded from Canonical and
-	// Hash: "" and "event" name the same engine, and the sampled engine
-	// is told apart by its Sampled block.
-	Engine string `json:"-"`
-
-	// Sampled configures the interval-sampling engine (Engine
-	// "sampled"): a non-zero block selects sampled execution even when
-	// Engine is empty. Unlike Engine these knobs are
-	// hash-INCLUDED: the sampled engine's Results are approximate and
-	// depend on the window parameters, so a sampled run must never
-	// share a result-cache entry with an exact run (or with a sampled
-	// run at different parameters). The zero block (exact engines)
-	// marshals to nothing, keeping exact specs' hashes unchanged.
+	// Sampled selects and configures the interval-sampling engine: a
+	// non-zero block runs the spec sampled, the zero block on the exact
+	// engine. These knobs are hash-INCLUDED: the sampled engine's
+	// Results are approximate and depend on the window parameters, so a
+	// sampled run must never share a result-cache entry with an exact
+	// run (or with a sampled run at different parameters). The zero
+	// block (exact engine) marshals to nothing, keeping exact specs'
+	// hashes unchanged.
 	Sampled SampledOptions `json:",omitzero"`
 
 	// MaxCycles caps the simulated cycles when non-zero (default
@@ -141,14 +135,12 @@ type SampledOptions struct {
 }
 
 // Enabled reports whether any sampling knob is set — a non-zero block
-// selects the sampled engine even when RunSpec.Engine is empty.
+// selects the sampled engine.
 func (o SampledOptions) Enabled() bool { return o != SampledOptions{} }
 
 // DefaultSampled returns the sampled engine's default window parameters
-// (the values a zero knob resolves to). Callers that need the Sampled
-// block in a spec's JSON and hash — the Engine string itself is
-// JSON-suppressed — materialize it with this instead of restating the
-// defaults.
+// (the values a zero knob resolves to). Callers select the sampled
+// engine at its defaults with this instead of restating them.
 func DefaultSampled() SampledOptions {
 	p := gpu.SampledConfig{}.WithDefaults()
 	return SampledOptions{
@@ -159,12 +151,10 @@ func DefaultSampled() SampledOptions {
 }
 
 // IsSampled reports whether the spec selects the interval-sampling
-// engine — via Engine "sampled" or a non-zero Sampled block — and will
-// therefore produce approximate Results (Approximate=true). Sweep
-// tooling uses it to refuse telemetry capture for sampled runs.
-func (s RunSpec) IsSampled() bool {
-	return s.Engine == gpu.EngineSampled || s.Sampled.Enabled()
-}
+// engine (a non-zero Sampled block) and will therefore produce
+// approximate Results (Approximate=true). Sweep tooling uses it to
+// refuse telemetry capture for sampled runs.
+func (s RunSpec) IsSampled() bool { return s.Sampled.Enabled() }
 
 // Canonical returns the spec with every zero-valued "use the default"
 // field replaced by the default it resolves to, so that two specs that
@@ -190,12 +180,10 @@ func (s RunSpec) Canonical() RunSpec {
 		s.Seed = p.Seed
 	}
 	// A sampled run's results DO depend on the window parameters, so
-	// the Sampled block is materialized (defaults filled) while the
-	// Engine string itself stays hash-excluded below: Engine="sampled"
-	// and an explicit default Sampled block canonicalize — and cache —
-	// identically, and can never collide with an exact run, whose
-	// Sampled block stays zero and marshals to nothing.
-	if s.Engine == gpu.EngineSampled || s.Sampled.Enabled() {
+	// the Sampled block is materialized (defaults filled). It can never
+	// collide with an exact run, whose Sampled block stays zero and
+	// marshals to nothing.
+	if s.Sampled.Enabled() {
 		p := gpu.SampledConfig{
 			WindowCycles:      s.Sampled.WindowCycles,
 			FastForwardCycles: s.Sampled.FastForwardCycles,
@@ -205,11 +193,10 @@ func (s RunSpec) Canonical() RunSpec {
 		s.Sampled.FastForwardCycles = p.FastForwardCycles
 		s.Sampled.WarmupCycles = p.WarmupCycles
 	}
-	// Observability, engine choice and run-budget/cancellation knobs do
-	// not affect the simulation a completed run performs: canonical specs
-	// zero them all so such runs compare (and cache) equal.
+	// Observability and run-budget/cancellation knobs do not affect the
+	// simulation a completed run performs: canonical specs zero them all
+	// so such runs compare (and cache) equal.
 	s.Telemetry = telemetry.Options{}
-	s.Engine = ""
 	s.MaxCycles = 0
 	s.StallCycles = 0
 	s.Deadline = time.Time{}
@@ -247,13 +234,6 @@ func (s RunSpec) Validate() error {
 	if s.MaxCycles < 0 {
 		v.Addf("MaxCycles", s.MaxCycles, "must be >= 0 (0 selects the default)")
 	}
-	if s.Sampled.Enabled() {
-		switch s.Engine {
-		case "", gpu.EngineSampled:
-		default:
-			v.Addf("Sampled", s.Sampled, "sampling parameters require Engine \"sampled\" (or empty), not %q", s.Engine)
-		}
-	}
 	// The assembled config re-checks everything the spec maps onto
 	// (scheduler name, warp scheduler, geometry, queue shapes).
 	if err := Config(s).Validate(); err != nil {
@@ -284,6 +264,13 @@ func (s RunSpec) Hash() string {
 	sum := sha256.Sum256(b)
 	return hex.EncodeToString(sum[:])
 }
+
+// ModelVersion numbers the simulation model. A change that moves any
+// spec's Results bumps it together with testdata/results.golden
+// (TestResultsGolden fails until both move). The sweep cache files its
+// entries under it, so a warm cache never serves an older model's
+// Results.
+const ModelVersion = 1
 
 // Results is the run digest (re-exported from internal/gpu).
 type Results = gpu.Results
@@ -357,11 +344,8 @@ func Config(spec RunSpec) gpu.Config {
 		cfg.CmdQueueCap = spec.CmdQueueCap
 	}
 	cfg.Telemetry = spec.Telemetry
-	cfg.Engine = spec.Engine
-	if spec.Sampled.Enabled() && cfg.Engine == "" {
+	if spec.Sampled.Enabled() {
 		cfg.Engine = gpu.EngineSampled
-	}
-	if cfg.Engine == gpu.EngineSampled {
 		cfg.Sampled = gpu.SampledConfig{
 			WindowCycles:      spec.Sampled.WindowCycles,
 			FastForwardCycles: spec.Sampled.FastForwardCycles,

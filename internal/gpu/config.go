@@ -96,9 +96,9 @@ type Config struct {
 	// byte-identical to a build without the hooks.
 	Faults *chaos.Faults
 
-	// Engine selects the simulation engine: "" or EngineEvent for the
-	// exact engine (the default), EngineSampled for the approximate one.
-	// The event engine's Results are byte-identical to ticking every
+	// Engine selects the simulation engine: "" for the exact event-driven
+	// engine (the default), EngineSampled for the approximate one.
+	// The exact engine's Results are byte-identical to ticking every
 	// component every cycle, which the dense oracle System.RunDense,
 	// called only by tests, checks (TestEventDrivenMatchesDense).
 	Engine string
@@ -115,24 +115,13 @@ type Config struct {
 	Telemetry telemetry.Options
 }
 
-// Engine names for Config.Engine.
-const (
-	// EngineEvent is the default exact engine: it steps every tick and
-	// ticks only the components whose next wakeup has come due.
-	EngineEvent = "event"
-	// EngineSampled is the interval-sampling engine: short full-fidelity
-	// measurement windows on the event engine's stepper alternate with
-	// fast-forward regions advanced by statistical models calibrated
-	// from the preceding window. Results are approximate — validated
-	// distributionally against the event engine, never byte-identical
-	// (see DESIGN.md "Sampled engine").
-	EngineSampled = "sampled"
-)
-
-// Engines lists the selectable engine names.
-func Engines() []string {
-	return []string{EngineEvent, EngineSampled}
-}
+// EngineSampled selects the interval-sampling engine for Config.Engine:
+// short full-fidelity measurement windows on the exact engine's stepper
+// alternate with fast-forward regions advanced by statistical models
+// calibrated from the preceding window. Results are approximate —
+// validated distributionally against the exact engine, never
+// byte-identical (see DESIGN.md "Sampled engine").
+const EngineSampled = "sampled"
 
 // SampledConfig parameterizes the interval-sampling engine. All cycle
 // counts are in ticks; zero fields take the Default*Cycles values.
@@ -370,7 +359,7 @@ func (c Config) Validate() error {
 		v.Addf("MaxTicks", c.MaxTicks, "must be positive")
 	}
 	switch c.Engine {
-	case "", EngineEvent:
+	case "":
 	case EngineSampled:
 		if c.Sampled.WindowCycles < 0 {
 			v.Addf("Sampled.WindowCycles", c.Sampled.WindowCycles, "must be non-negative (0 = default)")
@@ -382,7 +371,7 @@ func (c Config) Validate() error {
 			v.Addf("Sampled.WarmupCycles", c.Sampled.WarmupCycles, "must be non-negative (0 = default)")
 		}
 	default:
-		v.Addf("Engine", c.Engine, "unknown engine (want event or sampled)")
+		v.Addf("Engine", c.Engine, "unknown engine (want \"\" for the exact engine, or sampled)")
 	}
 	return v.Err()
 }

@@ -63,14 +63,6 @@ type Warp struct {
 	Issued   int64
 }
 
-// waiter records an L1 MSHR subscriber: a (warp, load) pair to credit when
-// the line fills.
-type waiter struct {
-	w    *Warp
-	load uint32
-	gid  memreq.GroupID
-}
-
 // Config wires an SM into the system.
 type Config struct {
 	ID       int
@@ -137,10 +129,11 @@ type SM struct {
 	replay []*memreq.Request
 	rHead  int
 
-	// waiters[m.Slot] lists the (warp, load) subscribers of the
-	// in-flight L1 MSHR m, in merge order: one list per MSHR register,
-	// so a drained list keeps its capacity for the slot's next miss.
-	waiters [][]waiter
+	// waiters[m.Slot] lists the warp-groups (warp, load) subscribed to
+	// the in-flight L1 MSHR m, in merge order: one list per MSHR
+	// register, so a drained list keeps its capacity for the slot's
+	// next miss.
+	waiters [][]memreq.GroupID
 
 	// pool recycles request allocations (Config.Pool): responses this SM
 	// has fully absorbed (Deliver) and replay-queue requests filtered by
@@ -217,7 +210,7 @@ func New(cfg Config, programs []Program) *SM {
 	s := &SM{
 		cfg:      cfg,
 		l1:       cache.New(cfg.L1),
-		waiters:  make([][]waiter, cfg.L1.MSHRs),
+		waiters:  make([][]memreq.GroupID, cfg.L1.MSHRs),
 		pc:       make([]int32, n),
 		readyAt:  make([]int64, n),
 		doneM:    make([]uint64, words),
@@ -276,21 +269,21 @@ func (s *SM) Deliver(r *memreq.Request, now int64) {
 	s.l1.Fill(r.Addr, false)
 	if m := s.l1.MSHRRelease(r.Addr); m != nil {
 		ws := s.waiters[m.Slot]
-		for _, wt := range ws {
-			s.credit(wt, now)
+		for _, gid := range ws {
+			s.credit(gid, now)
 		}
 		s.waiters[m.Slot] = ws[:0]
 	}
 	s.pool.Put(r) // response fully absorbed; nothing references it now
 }
 
-// credit delivers one line response to a (warp, load) subscriber.
-func (s *SM) credit(wt waiter, now int64) {
+// credit delivers one line response to the warp-group gid.
+func (s *SM) credit(gid memreq.GroupID, now int64) {
 	if s.cfg.Collector != nil {
-		s.cfg.Collector.OnResp(wt.gid, now)
+		s.cfg.Collector.OnResp(gid, now)
 	}
-	w := wt.w
-	if wt.load != w.curLoad {
+	w := s.warps[gid.Warp]
+	if gid.Load != w.curLoad {
 		return
 	}
 	w.pending--
@@ -301,11 +294,11 @@ func (s *SM) credit(wt waiter, now int64) {
 		// The ideal model of Fig 4: the warp resumes as soon as its
 		// first datum returns; the remaining requests still occupy
 		// DRAM bandwidth.
-		s.unblock(w.ID, now, wt.gid)
+		s.unblock(w.ID, now, gid)
 		return
 	}
 	if w.pending <= 0 {
-		s.unblock(w.ID, now, wt.gid)
+		s.unblock(w.ID, now, gid)
 	}
 }
 
@@ -417,17 +410,16 @@ func (s *SM) drainReplay(now int64) {
 			s.popReplay()
 			continue
 		}
-		wt := waiter{w: s.warps[r.Group.Warp], load: r.Group.Load, gid: r.Group}
 		if r.Kind == memreq.Read {
 			if s.l1.Contains(r.Addr) {
 				// Filled while queued: satisfied locally.
-				s.credit(wt, now)
+				s.credit(r.Group, now)
 				s.dropOrCredit(r)
 				continue
 			}
 			if m := s.l1.MSHRFor(r.Addr); m != nil {
 				// Another warp already fetched this line: merge.
-				s.waiters[m.Slot] = append(s.waiters[m.Slot], wt)
+				s.waiters[m.Slot] = append(s.waiters[m.Slot], r.Group)
 				s.dropOrCredit(r)
 				continue
 			}
@@ -440,7 +432,7 @@ func (s *SM) drainReplay(now int64) {
 				s.l1.MSHRRelease(r.Addr)
 				return
 			}
-			s.waiters[m.Slot] = append(s.waiters[m.Slot], wt)
+			s.waiters[m.Slot] = append(s.waiters[m.Slot], r.Group)
 			s.popReplay()
 			continue
 		}

@@ -16,7 +16,7 @@ import (
 
 // Cache is a persistent on-disk result store keyed by the content hash of
 // the canonicalized spec. Layout: one JSON file per result at
-// <dir>/<hash[:2]>/<hash>.json holding {spec, results}, written atomically
+// <dir>/v<dramlat.ModelVersion>/<hash[:2]>/<hash>.json holding {spec, results}, written atomically
 // (temp file + rename) so an interrupted sweep never leaves a torn entry
 // and a re-run resumes from whatever completed. A nil *Cache is a valid
 // disabled cache.
@@ -91,8 +91,11 @@ func checksum(spec dramlat.RunSpec, res dramlat.Results) string {
 	return hex.EncodeToString(sum[:])
 }
 
+// path files an entry under the model version, so a model change that
+// moves Results (and bumps dramlat.ModelVersion) misses every entry the
+// older model wrote.
 func (c *Cache) path(hash string) string {
-	return filepath.Join(c.dir, hash[:2], hash+".json")
+	return filepath.Join(c.dir, fmt.Sprintf("v%d", dramlat.ModelVersion), hash[:2], hash+".json")
 }
 
 // Get returns the cached results for a spec, if present and verified:

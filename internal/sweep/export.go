@@ -31,15 +31,6 @@ type Record struct {
 	Cached bool   `json:"cached"`
 	Error  string `json:"error,omitempty"`
 
-	// Approximate marks sampled-engine rows; the *_err columns are the
-	// run's window-to-window 95% confidence half-widths (zero for exact
-	// rows), so a plotting script can draw error bars without parsing
-	// Results.Sampling.
-	Approximate     bool    `json:"approximate,omitempty"`
-	SamplingWindows int     `json:"sampling_windows,omitempty"`
-	IPCErr          float64 `json:"ipc_err,omitempty"`
-	GapP99Err       float64 `json:"gap_p99_err,omitempty"`
-
 	Ticks            int64   `json:"ticks"`
 	Instr            int64   `json:"instr"`
 	IPC              float64 `json:"ipc"`
@@ -84,12 +75,6 @@ func RecordOf(o Outcome) Record {
 	rec.LastOverFirst, rec.MultiReqFrac = s.LastOverFirst, s.MultiReqFrac
 	rec.ReqsPerLoad, rec.AvgMCsTouched = s.ReqsPerLoad, s.AvgMCsTouched
 	rec.SMIdleFrac, rec.WriteFrac = r.SMIdleFrac, r.WriteFrac
-	rec.Approximate = r.Approximate
-	if r.Sampling != nil {
-		rec.SamplingWindows = r.Sampling.Windows
-		rec.IPCErr = r.Sampling.IPCErr
-		rec.GapP99Err = r.Sampling.GapP99Err
-	}
 	return rec
 }
 
@@ -134,7 +119,6 @@ var csvHeader = []string{
 	"l1_hit_rate", "l2_hit_rate", "effective_latency", "divergence_gap",
 	"last_over_first", "multi_req_frac", "reqs_per_load",
 	"avg_mcs_touched", "sm_idle_frac", "write_frac",
-	"approximate", "sampling_windows", "ipc_err", "gap_p99_err",
 }
 
 // WriteCSV emits one row per spec with a header line.
@@ -160,9 +144,6 @@ func (r *Report) WriteCSV(w io.Writer) error {
 			f(rec.DivergenceGap), f(rec.LastOverFirst), f(rec.MultiReqFrac),
 			f(rec.ReqsPerLoad), f(rec.AvgMCsTouched), f(rec.SMIdleFrac),
 			f(rec.WriteFrac),
-			strconv.FormatBool(rec.Approximate),
-			strconv.Itoa(rec.SamplingWindows),
-			f(rec.IPCErr), f(rec.GapP99Err),
 		}
 		if err := cw.Write(row); err != nil {
 			return err

@@ -52,20 +52,3 @@ func TestSampledSweepLockstepAcrossWorkers(t *testing.T) {
 		}
 	}
 }
-
-// Approximate results keep their sampling metadata in the flattened
-// Record, so a dlsweep report carries the error bars.
-func TestSampledRecordCarriesErrorBars(t *testing.T) {
-	spec := sampledTinySpecs()[0]
-	o := (&Engine{}).Run([]dramlat.RunSpec{spec}).Outcomes[0]
-	if o.Err != nil {
-		t.Fatal(o.Err)
-	}
-	rec := RecordOf(o)
-	if !rec.Approximate {
-		t.Fatal("record of a sampled outcome is not marked approximate")
-	}
-	if rec.SamplingWindows < 1 {
-		t.Fatalf("record reports %d sampling windows", rec.SamplingWindows)
-	}
-}

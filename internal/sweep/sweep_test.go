@@ -156,10 +156,11 @@ func TestCacheRoundTrip(t *testing.T) {
 	if got, ok := c.Get(alias); !ok || got != res {
 		t.Fatal("canonicalized alias missed the cache")
 	}
-	// Layout: sharded by hash prefix, and the entry stores the
-	// canonical spec.
+	// Layout: filed under the model version, sharded by hash prefix,
+	// and the entry stores the canonical spec.
 	h := spec.Hash()
-	b, err := os.ReadFile(filepath.Join(dir, h[:2], h+".json"))
+	path := filepath.Join(dir, fmt.Sprintf("v%d", dramlat.ModelVersion), h[:2], h+".json")
+	b, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,6 +173,21 @@ func TestCacheRoundTrip(t *testing.T) {
 	}
 	if c.Len() != 1 {
 		t.Fatalf("Len=%d", c.Len())
+	}
+	// An entry an older model wrote, filed under another version (or
+	// none, the layout before versioning), is never served.
+	for _, old := range []string{"", fmt.Sprintf("v%d", dramlat.ModelVersion-1)} {
+		stale, _ := OpenCache(t.TempDir())
+		oldPath := filepath.Join(stale.Dir(), old, h[:2], h+".json")
+		if err := os.MkdirAll(filepath.Dir(oldPath), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(oldPath, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := stale.Get(spec); ok {
+			t.Fatalf("entry filed under %q served at model version %d", old, dramlat.ModelVersion)
+		}
 	}
 	// A nil cache is a working no-op.
 	var nilc *Cache

@@ -22,8 +22,7 @@ func TraceRunner(dir string, opts dramlat.TelemetryOptions) func(dramlat.RunSpec
 			// simulated: most of the trace simply does not exist, and a
 			// partial artifact indistinguishable from a full one would
 			// poison downstream analysis. Fail the spec with a typed
-			// field error instead (dlsweep rejects the combination up
-			// front; this guards library callers).
+			// field error instead.
 			return dramlat.Results{}, &dramlat.ValidationError{Fields: []dramlat.FieldError{{
 				Field: "Telemetry", Value: "sampled",
 				Msg: "telemetry capture is not available for sampled runs: fast-forward regions are modeled and have no events to record",

@@ -45,7 +45,6 @@ func TestHashExcludedKnobsAreResultNeutral(t *testing.T) {
 		name string
 		mut  func(*RunSpec)
 	}{
-		{"engine-event", func(s *RunSpec) { s.Engine = "event" }},
 		{"max-cycles-sufficient", func(s *RunSpec) { s.MaxCycles = 100_000_000 }},
 		{"stall-cycles", func(s *RunSpec) { s.StallCycles = 5_000_000 }},
 		{"telemetry", func(s *RunSpec) { s.Telemetry = TelemetryOptions{Events: true, EventCap: 64} }},
@@ -89,28 +88,19 @@ func TestSpecHashGolden(t *testing.T) {
 	}
 }
 
-// The Sampled block is the one engine-selection surface that IS
-// hash-included: approximate results must never share a cache entry
-// with exact ones, or with sampled runs at different window parameters.
+// The Sampled block selects the sampled engine and is hash-included:
+// approximate results must never share a cache entry with exact ones,
+// or with sampled runs at different window parameters.
 func TestSampledBlockIsHashIncluded(t *testing.T) {
 	exact := exactTinySpec()
 	sampled := sampledTinySpec()
 	if exact.Hash() == sampled.Hash() {
 		t.Fatal("sampled spec hashes like the exact spec: approximate results would poison the exact cache entry")
 	}
-
-	// Engine="sampled" with no block and an explicit default block are
-	// the same simulation, so they must share a hash (and cache entry).
-	viaEngine := exactTinySpec()
-	viaEngine.Engine = "sampled"
-	viaBlock := exactTinySpec()
-	viaBlock.Sampled = DefaultSampled()
-	if viaEngine.Hash() != viaBlock.Hash() {
-		t.Fatalf("Engine=sampled (%s) and explicit default Sampled block (%s) hash differently",
-			viaEngine.Hash(), viaBlock.Hash())
-	}
-	if viaEngine.Hash() == exact.Hash() {
-		t.Fatal("Engine=sampled shares the exact spec's hash")
+	defaults := exactTinySpec()
+	defaults.Sampled = DefaultSampled()
+	if defaults.Hash() == exact.Hash() {
+		t.Fatal("default Sampled block shares the exact spec's hash")
 	}
 
 	// Different window parameters are different statistical models.
@@ -148,18 +138,14 @@ func TestSampledRunDeterministic(t *testing.T) {
 	}
 }
 
-// Exact engines must never report approximate results.
+// The exact engine must never report approximate results.
 func TestExactEnginesAreNotApproximate(t *testing.T) {
-	for _, engine := range []string{"", "event"} {
-		spec := exactTinySpec()
-		spec.Engine = engine
-		res, err := Run(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Approximate || res.Sampling != nil {
-			t.Fatalf("engine %q reported approximate results", engine)
-		}
+	res, err := Run(exactTinySpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Approximate || res.Sampling != nil {
+		t.Fatal("exact engine reported approximate results")
 	}
 }
 
@@ -180,7 +166,7 @@ func TestChaosSampleDriftTripsAccuracyGate(t *testing.T) {
 	}
 
 	clean := spec
-	clean.Engine = "sampled"
+	clean.Sampled = DefaultSampled()
 	cleanRes, err := Run(clean)
 	if err != nil {
 		t.Fatal(err)
@@ -227,7 +213,7 @@ func TestSampledAccuracyGate(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			spec.Engine = "sampled"
+			spec.Sampled = DefaultSampled()
 			sampled, err := Run(spec)
 			if err != nil {
 				t.Fatal(err)

@@ -1,8 +1,8 @@
-package main
+package experiments
 
 import (
 	"fmt"
-	"io"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -44,15 +44,19 @@ func synthetic(hash string) dramlat.Results {
 // synthetic results, against testdata/render-seeds<N>.golden.
 func TestRenderGolden(t *testing.T) {
 	for _, seeds := range []int{1, 2} {
-		r := runner{scale: 0.05, sms: 2, warps: 4, seed: 1, seeds: seeds}
-		specs := play(r, experiments, nil, io.Discard)
+		r := Runner{Scale: 0.05, SMs: 2, Warps: 4, Seed: 1, Seeds: seeds}
+		specs := r.Collect(All)
 		results := make(map[string]dramlat.Results, len(specs))
 		for _, sp := range specs {
 			h := sp.Hash()
 			results[h] = synthetic(h)
 		}
+		tables, err := r.Tables(All, results)
+		if err != nil {
+			t.Fatal(err)
+		}
 		var got strings.Builder
-		if err := render(r, experiments, results, &got); err != nil {
+		if err := Render(&got, tables); err != nil {
 			t.Fatal(err)
 		}
 		path := fmt.Sprintf("testdata/render-seeds%d.golden", seeds)
@@ -63,5 +67,47 @@ func TestRenderGolden(t *testing.T) {
 		if got.String() != string(want) {
 			t.Errorf("-seeds %d: rendered tables differ from %s:\n%s", seeds, path, got.String())
 		}
+	}
+}
+
+// TestTablesCarryTheirNumbers: each summary row is its label's function
+// (GEOMEAN or MEAN) of the column above it, and each of the paper's values
+// sits under the name of a column or row of its table.
+func TestTablesCarryTheirNumbers(t *testing.T) {
+	r := Runner{Scale: 0.05, SMs: 2, Warps: 4, Seed: 1, Seeds: 1}
+	results := map[string]dramlat.Results{}
+	for _, sp := range r.Collect(All) {
+		results[sp.Hash()] = synthetic(sp.Hash())
+	}
+	tables, err := r.Tables(All, results)
+	if err != nil {
+		t.Fatal(err)
+	}
+	papers := 0
+	for i, tab := range tables {
+		name := All[i].Name
+		if s := tab.Summary; s != nil {
+			for j, v := range s.Values {
+				if want := summaries[s.Label](tab.Column(j)); v != want && !math.IsNaN(v) {
+					t.Errorf("%s: %s of %q is %v, want %v", name, s.Label, tab.Columns[j].Name, v, want)
+				}
+			}
+		}
+		names := map[string]bool{}
+		for _, c := range tab.Columns {
+			names[c.Name] = true
+		}
+		for _, row := range tab.Rows {
+			names[row.Label] = true
+		}
+		for k := range tab.Paper {
+			papers++
+			if !names[k] && !(name == "power" && k == "hit-rate change") {
+				t.Errorf("%s: paper value %q names no column or row", name, k)
+			}
+		}
+	}
+	if papers == 0 {
+		t.Fatal("no table carries a paper value")
 	}
 }

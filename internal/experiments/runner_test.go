@@ -1,7 +1,6 @@
-package main
+package experiments
 
 import (
-	"io"
 	"strings"
 	"testing"
 
@@ -15,27 +14,27 @@ import (
 // on the results it reads shows up as a miss.
 func TestCollectCoversRender(t *testing.T) {
 	for _, seeds := range []int{1, 2} {
-		r := runner{scale: 0.05, sms: 2, warps: 4, seed: 1, seeds: seeds}
-		for _, e := range experiments {
-			exps := []experiment{e}
-			specs := play(r, exps, nil, io.Discard)
+		r := Runner{Scale: 0.05, SMs: 2, Warps: 4, Seed: 1, Seeds: seeds}
+		for _, e := range All {
+			exps := []Experiment{e}
+			specs := r.Collect(exps)
 			results := make(map[string]dramlat.Results, len(specs))
 			for _, sp := range specs {
 				results[sp.Hash()] = dramlat.Results{Ticks: 1}
 			}
-			if err := render(r, exps, results, io.Discard); err != nil {
-				t.Errorf("%s with -seeds %d: %v", e.name, seeds, err)
+			if _, err := r.Tables(exps, results); err != nil {
+				t.Errorf("%s with -seeds %d: %v", e.Name, seeds, err)
 			}
 		}
 	}
 }
 
 // TestRenderNamesMissingSpec: a render-pass request for a spec the results
-// lack is an error that names the spec, and no table is written.
+// lack is an error that names the spec, and no table comes back.
 func TestRenderNamesMissingSpec(t *testing.T) {
-	r := runner{scale: 0.05, sms: 2, warps: 4, seed: 1, seeds: 1}
-	exps := []experiment{{"fig12", fig12}}
-	specs := play(r, exps, nil, io.Discard)
+	r := Runner{Scale: 0.05, SMs: 2, Warps: 4, Seed: 1, Seeds: 1}
+	exps := []Experiment{{"fig12", fig12}}
+	specs := r.Collect(exps)
 	if len(specs) < 2 {
 		t.Fatalf("fig12 collected %d specs", len(specs))
 	}
@@ -43,13 +42,12 @@ func TestRenderNamesMissingSpec(t *testing.T) {
 	for _, sp := range specs[1:] {
 		results[sp.Hash()] = dramlat.Results{Ticks: 1}
 	}
-	var out strings.Builder
-	err := render(r, exps, results, &out)
+	tables, err := r.Tables(exps, results)
 	name, _ := specs[0].CanonicalJSON()
 	if err == nil || !strings.Contains(err.Error(), string(name)) {
 		t.Fatalf("render error %v does not name %s", err, name)
 	}
-	if out.Len() != 0 {
-		t.Fatalf("render wrote %d bytes despite a missing spec", out.Len())
+	if tables != nil {
+		t.Fatalf("render returned %d tables despite a missing spec", len(tables))
 	}
 }

@@ -40,21 +40,25 @@ func synthetic(hash string) dramlat.Results {
 	}
 }
 
+// syntheticTables builds every experiment's tables from synthetic results.
+func syntheticTables(t *testing.T, r Runner) []*Table {
+	t.Helper()
+	results := map[string]dramlat.Results{}
+	for _, sp := range r.Collect(All) {
+		results[sp.Hash()] = synthetic(sp.Hash())
+	}
+	tables, err := r.Tables(All, results)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tables
+}
+
 // TestRenderGolden pins the text of -exp all, -seeds 1 and 2, rendered from
 // synthetic results, against testdata/render-seeds<N>.golden.
 func TestRenderGolden(t *testing.T) {
 	for _, seeds := range []int{1, 2} {
-		r := Runner{Scale: 0.05, SMs: 2, Warps: 4, Seed: 1, Seeds: seeds}
-		specs := r.Collect(All)
-		results := make(map[string]dramlat.Results, len(specs))
-		for _, sp := range specs {
-			h := sp.Hash()
-			results[h] = synthetic(h)
-		}
-		tables, err := r.Tables(All, results)
-		if err != nil {
-			t.Fatal(err)
-		}
+		tables := syntheticTables(t, Runner{Scale: 0.05, SMs: 2, Warps: 4, Seed: 1, Seeds: seeds})
 		var got strings.Builder
 		if err := Render(&got, tables); err != nil {
 			t.Fatal(err)
@@ -74,15 +78,7 @@ func TestRenderGolden(t *testing.T) {
 // (GEOMEAN or MEAN) of the column above it, and each of the paper's values
 // sits under the name of a column or row of its table.
 func TestTablesCarryTheirNumbers(t *testing.T) {
-	r := Runner{Scale: 0.05, SMs: 2, Warps: 4, Seed: 1, Seeds: 1}
-	results := map[string]dramlat.Results{}
-	for _, sp := range r.Collect(All) {
-		results[sp.Hash()] = synthetic(sp.Hash())
-	}
-	tables, err := r.Tables(All, results)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tables := syntheticTables(t, Runner{Scale: 0.05, SMs: 2, Warps: 4, Seed: 1, Seeds: 1})
 	papers := 0
 	for i, tab := range tables {
 		name := All[i].Name

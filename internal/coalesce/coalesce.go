@@ -3,7 +3,8 @@
 // 128-byte cache-line-sized requests as possible. Coalescing eliminates
 // redundant same-line accesses; it cannot help when the threads' data are
 // not spatially co-located, which is exactly the irregular case the paper
-// targets (56% of irregular loads produce >1 request, 5.9 on average).
+// targets (Fig 2; the fig2 experiment in internal/experiments holds the
+// paper's numbers).
 package coalesce
 
 // LineBytes is the coalescing granularity (the L1/L2 line size).

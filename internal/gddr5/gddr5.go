@@ -137,7 +137,8 @@ func (t Timing) MERB(banksWithWork int) int {
 
 // MERBTable returns the MERB values for 1..maxBanks banks with pending
 // work. For the default GDDR5 timings and maxBanks=16 this reproduces
-// Table I: [31 20 10 7 5 5 5 ... 5].
+// Table I, whose paper values the table1 experiment in
+// internal/experiments holds and prints beside these.
 func (t Timing) MERBTable(maxBanks int) []int {
 	tab := make([]int, maxBanks)
 	for b := 1; b <= maxBanks; b++ {

@@ -3,8 +3,8 @@
 // per operation derived from datasheet currents, plus a static background
 // term. As the paper notes, most GDDR5 power is spent in the high-speed
 // I/O drivers, so the array-access energy added by extra row misses moves
-// total power only slightly (the paper reports that a 16% row-hit-rate
-// drop costs just 1.8% more GDDR5 power).
+// total power only slightly (the power experiment in internal/experiments
+// holds the paper's row-hit-rate drop and GDDR5 power change).
 package power
 
 import "dramlat/internal/dram"

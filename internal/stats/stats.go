@@ -234,18 +234,19 @@ func (c *Collector) AddModeled(loads, multiReq, lines, stores, storeLines int64)
 // the end of a drained run).
 func (c *Collector) Outstanding() int { return c.outstanding }
 
-// Summary is the digest of one run's warp-load behaviour.
+// Summary is the digest of one run's warp-load behaviour. The paper's
+// values for the Fig 2 and Fig 3 fields are held once, as Table.Paper,
+// by the fig2 and fig3 experiments in internal/experiments.
 type Summary struct {
 	Loads         int64
 	MultiReqFrac  float64 // Fig 2 black bar
-	ReqsPerLoad   float64 // Fig 2 line (5.9 avg in the paper)
-	AvgMCsTouched float64 // Fig 3 (2.5 avg)
+	ReqsPerLoad   float64 // Fig 2 line
+	AvgMCsTouched float64 // Fig 3 controllers touched per warp
 	// DivergenceGap is the mean (last - first) DRAM service gap in ticks
 	// over groups with >= 2 DRAM-serviced requests (Figs 3, 10).
 	DivergenceGap float64
 	// LastOverFirst is the mean ratio of last-request to first-request
-	// latency (issue -> response) over multi-response groups (~1.6x in
-	// Fig 3).
+	// latency (issue -> response) over multi-response groups (Fig 3).
 	LastOverFirst float64
 	// EffectiveLatency is the mean (last response - issue) over groups
 	// that touched the memory system (Fig 9).

@@ -463,7 +463,7 @@ func BuildBH(p Params) gpu.Workload {
 			// Body positions: coalesced.
 			prog = append(prog, b.coalescedLoad(bodyBase, base))
 			// Walk the levels: distinct node count doubles with depth.
-			for depth := 0; depth < len(tree.levels); depth++ {
+			for depth := 0; depth < tree.levels(); depth++ {
 				// Spatial sorting keeps at most ~16 distinct nodes per
 				// warp even deep in the tree (Lonestar warp voting).
 				distinct := 1 << uint(depth)

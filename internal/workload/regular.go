@@ -10,7 +10,8 @@ import (
 // The Section VI-A suite: bandwidth-sensitive applications with structured,
 // streaming access that coalesces to one request per load in the common
 // case. The paper uses them to show warp-aware scheduling causes no
-// slowdown (WG-W gains a modest 1.8% on them).
+// slowdown (the regular experiment in internal/experiments holds the
+// paper's WG-W gain on them).
 
 // streamKernel builds a generic streaming workload: each warp marches
 // through large arrays with fully coalesced loads and optional coalesced

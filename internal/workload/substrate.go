@@ -37,8 +37,10 @@ func randCSR(rng *rand.Rand, n, avgDeg int, pLocal float64, window int) *csr {
 	for i := 0; i < n; i++ {
 		for e := g.rowPtr[i]; e < g.rowPtr[i+1]; e++ {
 			if rng.Float64() < pLocal {
-				d := rng.Intn(2*window+1) - window
-				c := ((i+d)%n + n) % n // ring wrap, valid even for n < window
+				c := i + rng.Intn(2*window+1) - window
+				if c < 0 || c >= n {
+					c = (c%n + n) % n // ring wrap, valid even for n < window
+				}
 				g.colIdx[e] = int32(c)
 			} else {
 				g.colIdx[e] = int32(rng.Intn(n))
@@ -56,52 +58,54 @@ func (g *csr) edges(i int) []int32 { return g.colIdx[g.rowPtr[i]:g.rowPtr[i+1]] 
 
 // octree is the Barnes-Hut substrate: a pool of tree nodes allocated
 // breadth-first the way the Lonestar builder does, so each level is a
-// contiguous run of node ids. Only the level membership drives address
-// generation; child pointers are not kept.
+// contiguous run of node ids, [first[d], first[d]+count[d]). Only the
+// level membership drives address generation; child pointers are not
+// kept.
 type octree struct {
-	levels [][]int32 // node indices per level (into the node pool)
-	nodes  int32     // pool size
+	first, count []int32 // per level: first node id and node count
+	nodes        int32   // pool size
 }
 
 // randOctree builds a tree with the given depth; fanout thins with depth
 // (real octrees are sparse near the leaves).
 func randOctree(rng *rand.Rand, depth int) *octree {
 	t := &octree{nodes: 1}
-	cur := []int32{0}
+	first, count := int32(0), int32(1)
 	for d := 0; d < depth; d++ {
-		t.levels = append(t.levels, cur)
+		t.first = append(t.first, first)
+		t.count = append(t.count, count)
 		maxKids := 8
 		if d > 2 {
 			maxKids = 4
 		}
-		var next []int32
-		for range cur {
+		next := t.nodes
+		for range count {
 			kids := 0
 			for c := 0; c < 8 && kids < maxKids; c++ {
 				if rng.Intn(8) < maxKids {
-					next = append(next, t.nodes)
 					t.nodes++
 					kids++
 				}
 			}
 		}
-		if len(next) == 0 {
+		if t.nodes == next {
 			break
 		}
-		cur = next
+		first, count = next, t.nodes-next
 	}
-	t.levels = append(t.levels, cur)
+	t.first = append(t.first, first)
+	t.count = append(t.count, count)
 	return t
 }
+
+// levels returns the number of levels.
+func (t *octree) levels() int { return len(t.first) }
 
 // nodeCount returns the pool size.
 func (t *octree) nodeCount() int { return int(t.nodes) }
 
 // pick returns a random node id at the given level (clamped).
 func (t *octree) pick(rng *rand.Rand, level int) int32 {
-	if level >= len(t.levels) {
-		level = len(t.levels) - 1
-	}
-	l := t.levels[level]
-	return l[rng.Intn(len(l))]
+	level = min(level, len(t.first)-1)
+	return t.first[level] + int32(rng.Intn(int(t.count[level])))
 }

@@ -91,32 +91,30 @@ func TestOctreeStructure(t *testing.T) {
 	tr := randOctree(rng, 6)
 	// Pinned shape for seed 2, depth 6: the generator must keep making
 	// the same draws, or every bh workload changes.
-	wantSizes := []int{1, 8, 64, 512, 1760, 6121, 21199}
-	if tr.nodeCount() != 29665 || len(tr.levels) != len(wantSizes) {
-		t.Fatalf("%d nodes over %d levels, want 29665 over %d", tr.nodeCount(), len(tr.levels), len(wantSizes))
+	wantSizes := []int32{1, 8, 64, 512, 1760, 6121, 21199}
+	if tr.nodeCount() != 29665 || tr.levels() != len(wantSizes) {
+		t.Fatalf("%d nodes over %d levels, want 29665 over %d", tr.nodeCount(), tr.levels(), len(wantSizes))
 	}
 	// Ids are allocated breadth-first: the levels are consecutive runs
 	// that together cover the pool, and each level holds at most
 	// maxKids children per node of the level above.
 	next := int32(0)
-	for d, lvl := range tr.levels {
-		if len(lvl) != wantSizes[d] {
-			t.Fatalf("level %d has %d nodes, want %d", d, len(lvl), wantSizes[d])
+	for d := range tr.levels() {
+		if tr.count[d] != wantSizes[d] {
+			t.Fatalf("level %d has %d nodes, want %d", d, tr.count[d], wantSizes[d])
 		}
-		for _, n := range lvl {
-			if n != next {
-				t.Fatalf("level %d: node %d, want breadth-first id %d", d, n, next)
-			}
-			next++
+		if tr.first[d] != next {
+			t.Fatalf("level %d starts at node %d, want breadth-first id %d", d, tr.first[d], next)
 		}
+		next += tr.count[d]
 		if d > 0 {
-			maxKids := 8
+			maxKids := int32(8)
 			if d-1 > 2 {
 				maxKids = 4
 			}
-			if len(lvl) > maxKids*len(tr.levels[d-1]) {
+			if tr.count[d] > maxKids*tr.count[d-1] {
 				t.Fatalf("level %d: %d nodes under %d parents with at most %d kids each",
-					d, len(lvl), len(tr.levels[d-1]), maxKids)
+					d, tr.count[d], tr.count[d-1], maxKids)
 			}
 		}
 	}
@@ -126,9 +124,9 @@ func TestOctreeStructure(t *testing.T) {
 	// pick must stay within the requested (clamped) level.
 	for lvl := 0; lvl < 10; lvl++ {
 		n := tr.pick(rng, lvl)
-		l := tr.levels[min(lvl, len(tr.levels)-1)]
-		if n < l[0] || n > l[len(l)-1] {
-			t.Fatalf("pick(%d) = %d outside the level's ids %d..%d", lvl, n, l[0], l[len(l)-1])
+		l := min(lvl, tr.levels()-1)
+		if last := tr.first[l] + tr.count[l] - 1; n < tr.first[l] || n > last {
+			t.Fatalf("pick(%d) = %d outside the level's ids %d..%d", lvl, n, tr.first[l], last)
 		}
 	}
 }

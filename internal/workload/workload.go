@@ -9,12 +9,14 @@
 // The substitution preserves what the memory schedulers actually see: the
 // warp structure, coalescing behaviour, row locality, bank/channel spread,
 // and write intensity of the access stream. Each generator documents its
-// calibration targets against the paper's characterization:
+// calibration targets against the paper's characterization (the fig2
+// and fig3 experiments in internal/experiments hold the paper's suite
+// means):
 //
-//   - Fig 2: irregular loads average ~5.9 requests after coalescing and
-//     ~56% of loads produce more than one request;
-//   - Fig 3: warps touch ~2.5 memory controllers on average; cfd, spmv,
-//     sssp and sp touch ~3.2 while sad, nw, SS and bfs touch fewer than 2;
+//   - Fig 2: irregular loads produce several requests after coalescing,
+//     and most of them more than one;
+//   - Fig 3: cfd, spmv, sssp and sp touch ~3.2 memory controllers per
+//     warp while sad, nw, SS and bfs touch fewer than 2;
 //   - Section III-A: ~30% of a warp's requests fall in the same DRAM row
 //     and a warp touches ~2 banks;
 //   - Fig 12: nw, SS and sad are write-intensive.
@@ -132,10 +134,11 @@ func (a *arena) alloc(bytes uint64) uint64 {
 type builder struct {
 	p     Params
 	progs [][]sm.Program
-	// rng is the build's one random source: the substrate generator
-	// draws from it first, then eachWarp reseeds it per warp, which
-	// yields exactly the draws of a fresh rand.NewSource per warp
-	// without allocating one (~5 KB) each.
+	// rng is the per-warp random stream: eachWarp reseeds it for every
+	// warp, which yields exactly the draws of a fresh rand.NewSource
+	// per warp without allocating one (~5 KB) each. Its goSource seeds
+	// in O(1) and derives a state word on first read, since most warps
+	// draw few numbers or none.
 	rng   *rand.Rand
 	prog  sm.Program // per-warp scratch program, reused across warps
 	insns []sm.Insn  // instruction slab
@@ -153,7 +156,7 @@ func newBuilder(p Params) *builder {
 	b := &builder{
 		p:     p,
 		progs: make([][]sm.Program, p.NumSMs),
-		rng:   rand.New(rand.NewSource(p.Seed)),
+		rng:   rand.New(new(goSource)),
 	}
 	for i := range b.progs {
 		b.progs[i] = make([]sm.Program, p.WarpsPerSM)
@@ -161,11 +164,12 @@ func newBuilder(p Params) *builder {
 	return b
 }
 
-// seed reseeds the build's random source and returns it, for the
-// substrate generators that run before eachWarp.
+// seed returns the random stream for a substrate generator that runs
+// before eachWarp. It is an ordinary rand.NewSource: a substrate draws
+// millions of numbers, which the lazy derivation in goSource would only
+// slow down.
 func (b *builder) seed(seed int64) *rand.Rand {
-	b.rng.Seed(seed)
-	return b.rng
+	return rand.New(rand.NewSource(seed))
 }
 
 // eachWarp invokes f for every (sm, warp) with a per-warp RNG, the global

@@ -47,32 +47,6 @@ func TestRegistry(t *testing.T) {
 	}
 }
 
-func TestBuildersDeterministic(t *testing.T) {
-	p := testParams()
-	for _, b := range []Benchmark{Irregular()[0], Regular()[0]} {
-		w1 := b.Build(p)
-		w2 := b.Build(p)
-		for s := range w1.Programs {
-			for w := range w1.Programs[s] {
-				p1, p2 := w1.Programs[s][w], w2.Programs[s][w]
-				if len(p1) != len(p2) {
-					t.Fatalf("%s: program length differs", b.Name)
-				}
-				for i := range p1 {
-					if p1[i].Kind != p2[i].Kind || len(p1[i].Addrs) != len(p2[i].Addrs) {
-						t.Fatalf("%s: insn %d differs", b.Name, i)
-					}
-					for j := range p1[i].Addrs {
-						if p1[i].Addrs[j] != p2[i].Addrs[j] {
-							t.Fatalf("%s: addr differs", b.Name)
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
 func TestWarpShapeMatchesParams(t *testing.T) {
 	p := testParams()
 	for _, b := range All() {

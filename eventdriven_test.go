@@ -63,7 +63,11 @@ func runBothConfig(t *testing.T, cfg gpu.Config, bench string, scale float64) (d
 // backpressure rows fill crossbar FIFOs and L1 MSHRs, so SM replay
 // heads block and sleep until a slot frees or a response lands; their
 // SM samples pin the idle-stall split that CatchUp batches across those
-// sleeps, which Results do not carry.
+// sleeps, which Results do not carry. The lowocc rows run bfs on 120
+// SMs with one warp each, the bfs-lowocc benchmark's shape, so each
+// crossbar port's queued-SM mask spans two 64-bit words and ports often
+// wait on traffic still in flight; wafcfs takes the NoInterleave port
+// path.
 func TestEventDrivenMatchesDense(t *testing.T) {
 	workloads := []string{"bfs", "streamcluster"}
 	for _, sched := range gpu.Schedulers() {
@@ -96,6 +100,18 @@ func TestEventDrivenMatchesDense(t *testing.T) {
 			Scale: 0.02, SMs: 120, WarpsPerSM: 8,
 		}
 		t.Run(sched+"/spmv/sm120", func(t *testing.T) {
+			_, _, dense, event := runBoth(t, spec)
+			if !reflect.DeepEqual(dense, event) {
+				t.Fatalf("results diverge\ndense: %+v\nevent: %+v", dense, event)
+			}
+		})
+	}
+	for _, sched := range []string{"gmc", "sbwas", "wafcfs", "wg-w"} {
+		spec := dramlat.RunSpec{
+			Benchmark: "bfs", Scheduler: sched,
+			Scale: 1, SMs: 120, WarpsPerSM: 1,
+		}
+		t.Run("lowocc/"+sched+"/bfs", func(t *testing.T) {
 			_, _, dense, event := runBoth(t, spec)
 			if !reflect.DeepEqual(dense, event) {
 				t.Fatalf("results diverge\ndense: %+v\nevent: %+v", dense, event)

@@ -51,26 +51,24 @@ func (g *GMC) Pending() int { return g.rs.Count() }
 // until the streak cap or the age threshold forces a switch to the oldest
 // stream.
 func (g *GMC) NextRead(now int64) *memreq.Request {
-	nb := g.ctl.Chan.NumBanks
-	for i := 0; i < nb; i++ {
-		bank := (g.rrBank + i) % nb
-		if len(g.rs.perBank[bank]) == 0 || !g.ctl.Chan.CanAccept(bank) {
-			continue
-		}
-		s := g.pickStream(bank, now)
-		if s == nil {
-			continue
-		}
-		hit := s.row == g.ctl.Chan.SchedRow(bank)
-		if hit {
-			g.streak[bank]++
-		} else {
-			g.streak[bank] = 1
-		}
-		g.rrBank = (bank + 1) % nb
-		return g.rs.PopFrom(s)
+	return g.rs.serveFrom(g.rrBank, g.ctl.Chan, func(bank int) *memreq.Request { return g.serve(bank, now) })
+}
+
+// serve pops bank's next read, or returns nil when the bank has none,
+// charging the pick to the bank's streak and moving the round-robin
+// past the bank.
+func (g *GMC) serve(bank int, now int64) *memreq.Request {
+	s := g.pickStream(bank, now)
+	if s == nil {
+		return nil
 	}
-	return nil
+	if s.row == g.ctl.Chan.SchedRow(bank) {
+		g.streak[bank]++
+	} else {
+		g.streak[bank] = 1
+	}
+	g.rrBank = (bank + 1) % g.ctl.Chan.NumBanks
+	return g.rs.PopFrom(s)
 }
 
 func (g *GMC) pickStream(bank int, now int64) *stream {

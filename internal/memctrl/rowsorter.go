@@ -1,6 +1,11 @@
 package memctrl
 
-import "dramlat/internal/memreq"
+import (
+	"math/bits"
+
+	"dramlat/internal/dram"
+	"dramlat/internal/memreq"
+)
 
 // stream is one row-hit stream: the FIFO of pending requests to a single
 // <bank,row> tuple (one Row Sorter entry, Section II-C).
@@ -24,6 +29,10 @@ type RowSorter struct {
 	// per row: a bank's streams are few (its pending rows), so StreamFor
 	// scans them.
 	perBank [][]*stream
+	// pending has bit b set exactly when perBank[b] is non-empty, so the
+	// bank round-robin of GMC and SBWAS visits only banks that hold
+	// reads. One word covers the 64 banks a dram.Channel holds at most.
+	pending uint64
 	count   int
 	// free recycles retired stream entries (and their request-slice
 	// capacity): the sorter churns through one entry per row locality
@@ -57,6 +66,7 @@ func (rs *RowSorter) Add(r *memreq.Request, now int64) {
 			s = &stream{bank: r.Bank, row: r.Row, created: now}
 		}
 		rs.perBank[r.Bank] = append(rs.perBank[r.Bank], s)
+		rs.pending |= 1 << uint(r.Bank)
 	}
 	s.reqs = append(s.reqs, r)
 	rs.count++
@@ -106,12 +116,42 @@ func (rs *RowSorter) PopFrom(s *stream) *memreq.Request {
 	return r
 }
 
+// pendingFrom returns the pending mask rotated so that bit i stands for
+// bank (start+i) % NumBanks: its set bits, lowest first, are the banks
+// holding reads in round-robin order from start.
+func (rs *RowSorter) pendingFrom(start int) uint64 {
+	nb, r := uint(len(rs.perBank)), uint(start)
+	return (rs.pending>>r | rs.pending<<(nb-r)) & (^uint64(0) >> (64 - nb))
+}
+
+// serveFrom visits the banks holding reads in round-robin order from
+// bank start, skipping those whose command queue is full, and returns
+// the first read serve yields for a bank, or nil.
+func (rs *RowSorter) serveFrom(start int, ch *dram.Channel, serve func(bank int) *memreq.Request) *memreq.Request {
+	for m := rs.pendingFrom(start); m != 0; m &= m - 1 {
+		bank := start + bits.TrailingZeros64(m)
+		if bank >= ch.NumBanks {
+			bank -= ch.NumBanks
+		}
+		if !ch.CanAccept(bank) {
+			continue
+		}
+		if r := serve(bank); r != nil {
+			return r
+		}
+	}
+	return nil
+}
+
 func (rs *RowSorter) retire(s *stream) {
 	rs.free = append(rs.free, s)
 	bank := rs.perBank[s.bank]
 	for i, e := range bank {
 		if e == s {
 			rs.perBank[s.bank] = append(bank[:i], bank[i+1:]...)
+			if len(bank) == 1 {
+				rs.pending &^= 1 << uint(s.bank)
+			}
 			return
 		}
 	}

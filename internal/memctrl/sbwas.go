@@ -72,50 +72,50 @@ func (s *SBWAS) shortJobCutoff() int {
 }
 
 // NextRead implements Scheduler.
-func (s *SBWAS) NextRead(now int64) *memreq.Request {
-	nb := s.ctl.Chan.NumBanks
+func (s *SBWAS) NextRead(int64) *memreq.Request {
 	cutoff := s.shortJobCutoff()
-	for i := 0; i < nb; i++ {
-		bank := (s.rrBank + i) % nb
-		if len(s.rs.perBank[bank]) == 0 || !s.ctl.Chan.CanAccept(bank) {
-			continue
-		}
-		s.rrBank = (bank + 1) % nb
+	return s.rs.serveFrom(s.rrBank, s.ctl.Chan, func(bank int) *memreq.Request { return s.serve(bank, cutoff) })
+}
 
-		hitStream := s.rs.StreamFor(bank, s.ctl.Chan.SchedRow(bank))
+// serve moves the round-robin past bank and pops the bank's pick: the
+// short-job candidate when it qualifies, else the row-hit stream's head,
+// else the oldest stream's head. It returns nil when the bank has none.
+func (s *SBWAS) serve(bank, cutoff int) *memreq.Request {
+	s.rrBank = (bank + 1) % s.ctl.Chan.NumBanks
 
-		// Candidate (b): the request in this bank belonging to the
-		// warp with the fewest outstanding requests.
-		var short *stream
-		shortCount := 1 << 30
-		var shortIdx int
-		for _, st := range s.rs.perBank[bank] {
-			for idx, r := range st.reqs {
-				if !r.Group.Valid() {
-					continue
-				}
-				n := s.outstanding[warpKey{r.Group.SM, r.Group.Warp}]
-				if n < shortCount {
-					shortCount, short, shortIdx = n, st, idx
-				}
+	hitStream := s.rs.StreamFor(bank, s.ctl.Chan.SchedRow(bank))
+
+	// Candidate (b): the request in this bank belonging to the
+	// warp with the fewest outstanding requests.
+	var short *stream
+	shortCount := 1 << 30
+	var shortIdx int
+	for _, st := range s.rs.perBank[bank] {
+		for idx, r := range st.reqs {
+			if !r.Group.Valid() {
+				continue
+			}
+			n := s.outstanding[warpKey{r.Group.SM, r.Group.Warp}]
+			if n < shortCount {
+				shortCount, short, shortIdx = n, st, idx
 			}
 		}
+	}
 
-		if short != nil && shortCount <= cutoff && (hitStream == nil || short != hitStream) {
-			r := s.removeAt(short, shortIdx)
-			s.note(r)
-			return r
-		}
-		if hitStream != nil {
-			r := s.rs.PopFrom(hitStream)
-			s.note(r)
-			return r
-		}
-		if oldest := s.rs.OldestStream(bank); oldest != nil {
-			r := s.rs.PopFrom(oldest)
-			s.note(r)
-			return r
-		}
+	if short != nil && shortCount <= cutoff && (hitStream == nil || short != hitStream) {
+		r := s.removeAt(short, shortIdx)
+		s.note(r)
+		return r
+	}
+	if hitStream != nil {
+		r := s.rs.PopFrom(hitStream)
+		s.note(r)
+		return r
+	}
+	if oldest := s.rs.OldestStream(bank); oldest != nil {
+		r := s.rs.PopFrom(oldest)
+		s.note(r)
+		return r
 	}
 	return nil
 }

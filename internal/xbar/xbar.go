@@ -17,7 +17,11 @@
 // bounds and counters exact.
 package xbar
 
-import "dramlat/internal/memreq"
+import (
+	"math/bits"
+
+	"dramlat/internal/memreq"
+)
 
 // never is the wakeup-contract sentinel (see dram.Never).
 const never int64 = 1 << 62
@@ -90,6 +94,20 @@ type Xbar struct {
 	curSM  []int    // per-partition sticky SM (NoInterleave)
 	rrResp []int    // per-SM partition rotation
 
+	// queued has one bit per SM whose FIFO toward a partition is
+	// non-empty: partition p's mask is queued[p*words : (p+1)*words],
+	// bit sm%64 of word sm/64. Inject sets the bit and a PopPart that
+	// empties the FIFO clears it, so a port visits only the SMs that
+	// hold work.
+	queued []uint64
+	words  int
+	// partWake is a never-late lower bound on the earliest head readyAt
+	// of the FIFOs toward a partition: min-updated on Inject, set to
+	// the exact earliest head by a scan that finds nothing matured. A
+	// port returns at once before it, so one whose traffic is still in
+	// flight costs O(1) per tick.
+	partWake []int64
+
 	// respWake is a lower bound on the earliest head readyAt of the
 	// queues toward an SM: min-updated on insert (exact when the queue
 	// was empty), recomputed from the true heads on every PopResponse,
@@ -97,7 +115,6 @@ type Xbar struct {
 	// FIFOs (see PopPart). It is the stepper's SM wakeup; a stale-early
 	// bound only costs a spurious visit.
 	respWake []int64
-	queuedTo []int // per-partition queued request count
 
 	Injected  int64
 	Rejected  int64
@@ -106,6 +123,7 @@ type Xbar struct {
 
 // New builds a crossbar.
 func New(numSM, numPart int, latency int64, capPerQueue int) *Xbar {
+	words := (numSM + 63) / 64
 	x := &Xbar{
 		NumSM: numSM, NumPart: numPart,
 		Latency: latency, CapPerQueue: capPerQueue,
@@ -115,10 +133,15 @@ func New(numSM, numPart int, latency int64, capPerQueue int) *Xbar {
 		curSM:    make([]int, numPart),
 		rrResp:   make([]int, numSM),
 		respWake: make([]int64, numSM),
-		queuedTo: make([]int, numPart),
+		queued:   make([]uint64, numPart*words),
+		words:    words,
+		partWake: make([]int64, numPart),
 	}
 	for i := range x.respWake {
 		x.respWake[i] = never
+	}
+	for i := range x.partWake {
+		x.partWake[i] = never
 	}
 	for i := range x.toPart {
 		x.toPart[i] = make([]ring, numPart)
@@ -143,7 +166,11 @@ func (x *Xbar) Inject(sm int, req *memreq.Request, now int64) bool {
 	t := now + x.Latency
 	q.push(entry{req, t})
 	x.Injected++
-	x.queuedTo[req.Channel]++
+	part := req.Channel
+	x.queued[part*x.words+sm>>6] |= 1 << uint(sm&63)
+	if t < x.partWake[part] {
+		x.partWake[part] = t
+	}
 	return true
 }
 
@@ -165,7 +192,9 @@ func (x *Xbar) PopPart(part int, now int64) *memreq.Request {
 		x.lowerRespWake(sm, now+1)
 	}
 	e := q.pop()
-	x.queuedTo[part]--
+	if q.len() == 0 {
+		x.queued[part*x.words+sm>>6] &^= 1 << uint(sm&63)
+	}
 	return e.req
 }
 
@@ -177,39 +206,63 @@ func (x *Xbar) arbitrate(part int, now int64) int {
 		// when its head has not matured yet.
 		sm := x.curSM[part]
 		if sm < 0 || x.toPart[sm][part].len() == 0 {
-			sm = -1
-			for i := 0; i < x.NumSM; i++ {
-				if s := (x.rrReq[part] + i) % x.NumSM; x.toPart[s][part].len() > 0 {
-					sm = s
-					x.rrReq[part] = (s + 1) % x.NumSM
-					break
-				}
+			// Every queued head has matured by tick never, so this
+			// finds the next SM with anything queued.
+			if sm, _ = x.scan(part, never); sm >= 0 {
+				x.rrReq[part] = (sm + 1) % x.NumSM
 			}
 			x.curSM[part] = sm
 		}
-		if sm < 0 || !x.ready(sm, part, now) {
+		if sm < 0 || x.toPart[sm][part].front().readyAt > now {
 			return -1
 		}
 		return sm
 	}
-	// rrReq only moves on a pop, so a scan that finds nothing ready
-	// leaves the arbitration state untouched.
-	if x.queuedTo[part] == 0 {
+	// No head toward the port matures before partWake. rrReq only
+	// moves on a pop, so a scan that finds nothing ready leaves the
+	// arbitration state untouched and just records the exact bound.
+	if now < x.partWake[part] {
 		return -1
 	}
-	for i := 0; i < x.NumSM; i++ {
-		if sm := (x.rrReq[part] + i) % x.NumSM; x.ready(sm, part, now) {
-			x.rrReq[part] = (sm + 1) % x.NumSM
-			return sm
-		}
+	sm, wake := x.scan(part, now)
+	if sm < 0 {
+		x.partWake[part] = wake
+		return -1
 	}
-	return -1
+	x.rrReq[part] = (sm + 1) % x.NumSM
+	return sm
 }
 
-// ready reports whether the (sm, part) FIFO has a matured head.
-func (x *Xbar) ready(sm, part int, now int64) bool {
-	q := &x.toPart[sm][part]
-	return q.len() > 0 && q.front().readyAt <= now
+// scan visits the SMs with requests queued toward partition part in
+// round-robin order from rrReq (the set bits of the port's queued mask,
+// from rrReq up, then wrapping from 0) and returns the first whose FIFO
+// head has matured by tick by. When none has, it returns -1 and the
+// earliest head readyAt it saw (never when nothing is queued).
+func (x *Xbar) scan(part int, by int64) (sm int, wake int64) {
+	wake = never
+	mask := x.queued[part*x.words : (part+1)*x.words]
+	from := x.rrReq[part]
+	for _, span := range [2][2]int{{from, x.NumSM}, {0, from}} {
+		lo, hi := span[0], span[1]
+		for w := lo >> 6; w<<6 < hi; w++ {
+			set := mask[w]
+			if w == lo>>6 {
+				set &^= 1<<uint(lo&63) - 1
+			}
+			if n := hi - w<<6; n < 64 {
+				set &= 1<<uint(n) - 1
+			}
+			for ; set != 0; set &= set - 1 {
+				s := w<<6 + bits.TrailingZeros64(set)
+				t := x.toPart[s][part].front().readyAt
+				if t <= by {
+					return s, wake
+				}
+				wake = min(wake, t)
+			}
+		}
+	}
+	return -1, wake
 }
 
 func (x *Xbar) recomputeRespWake(sm int) {
@@ -289,11 +342,9 @@ func (x *Xbar) PopResponse(sm int, now int64) *memreq.Request {
 
 // Empty reports whether the crossbar holds no traffic in either direction.
 func (x *Xbar) Empty() bool {
-	for sm := range x.toPart {
-		for part := range x.toPart[sm] {
-			if x.toPart[sm][part].len() > 0 {
-				return false
-			}
+	for _, w := range x.queued {
+		if w != 0 {
+			return false
 		}
 	}
 	for part := range x.toSM {

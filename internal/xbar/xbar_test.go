@@ -1,6 +1,7 @@
 package xbar
 
 import (
+	"math/rand"
 	"testing"
 
 	"dramlat/internal/memreq"
@@ -293,5 +294,150 @@ func TestCrossbarSteadyStateAllocs(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Fatalf("steady-state crossbar churn allocated: %.2f allocs per 100 ticks, want 0", avg)
+	}
+}
+
+// refArbitrate is the port arbitration as a plain O(NumSM) scan: the
+// round-robin over every SM's FIFO head from rrReq (or, in NoInterleave
+// mode, over every SM's FIFO for the next one with anything queued). It
+// reads and advances x's rrReq/curSM but none of the queued masks or
+// partWake bounds, so it checks arbitrate's order, not its shortcuts.
+func refArbitrate(x *Xbar, part int, now int64) int {
+	ready := func(sm int) bool {
+		q := &x.toPart[sm][part]
+		return q.len() > 0 && q.front().readyAt <= now
+	}
+	if x.NoInterleave {
+		sm := x.curSM[part]
+		if sm < 0 || x.toPart[sm][part].len() == 0 {
+			sm = -1
+			for i := 0; i < x.NumSM; i++ {
+				if s := (x.rrReq[part] + i) % x.NumSM; x.toPart[s][part].len() > 0 {
+					sm = s
+					x.rrReq[part] = (s + 1) % x.NumSM
+					break
+				}
+			}
+			x.curSM[part] = sm
+		}
+		if sm < 0 || !ready(sm) {
+			return -1
+		}
+		return sm
+	}
+	for i := 0; i < x.NumSM; i++ {
+		if sm := (x.rrReq[part] + i) % x.NumSM; ready(sm) {
+			x.rrReq[part] = (sm + 1) % x.NumSM
+			return sm
+		}
+	}
+	return -1
+}
+
+// refPopPart is PopPart over refArbitrate.
+func refPopPart(x *Xbar, part int, now int64) *memreq.Request {
+	sm := refArbitrate(x, part, now)
+	if sm < 0 {
+		return nil
+	}
+	return x.toPart[sm][part].pop().req
+}
+
+// TestArbitrateMatchesReference drives one crossbar through PopPart and
+// a twin through the reference scan with the same random Inject/PopPart
+// stream, at SM counts on both sides of the 64-bit mask word, in both
+// interleave modes. The popped requests and each port's rrReq/curSM
+// must match pop for pop. After every operation each queued bit must
+// equal its FIFO's non-emptiness, Empty must agree, and each port's
+// partWake must never be late: while now < partWake no FIFO head toward
+// the port has matured (the rule TestNextWakeupNeverLate checks for
+// DRAM).
+func TestArbitrateMatchesReference(t *testing.T) {
+	const parts, capPerQueue, ticks = 3, 4, 3000
+	for _, numSM := range []int{1, 30, 63, 64, 65, 120} {
+		for _, noInterleave := range []bool{false, true} {
+			rng := rand.New(rand.NewSource(int64(numSM)))
+			latency := int64(1 + rng.Intn(30))
+			x, ref := New(numSM, parts, latency, capPerQueue), New(numSM, parts, latency, capPerQueue)
+			x.NoInterleave, ref.NoInterleave = noInterleave, noInterleave
+			check := func(now int64) {
+				t.Helper()
+				queued := false
+				for part := 0; part < parts; part++ {
+					for sm := 0; sm < numSM; sm++ {
+						q := &x.toPart[sm][part]
+						queued = queued || q.len() > 0
+						bit := x.queued[part*x.words+sm/64]>>(sm%64)&1 == 1
+						if bit != (q.len() > 0) {
+							t.Fatalf("sm %d part %d tick %d: queued bit %v with %d queued", sm, part, now, bit, q.len())
+						}
+						if now < x.partWake[part] && q.len() > 0 && q.front().readyAt <= now {
+							t.Fatalf("sm %d part %d tick %d: head matured at %d before partWake %d",
+								sm, part, now, q.front().readyAt, x.partWake[part])
+						}
+					}
+				}
+				if empty := x.Empty(); empty == queued {
+					t.Fatalf("tick %d: Empty() = %v with requests queued: %v", now, empty, queued)
+				}
+			}
+			var id uint64
+			for now := int64(0); now < ticks; now++ {
+				// Bursts of injections separated by quiet stretches, so
+				// ports both idle with traffic in flight and contend.
+				burst := 0
+				if now%200 < 60 {
+					burst = rng.Intn(numSM/4 + 2)
+				}
+				for i := 0; i < burst; i++ {
+					sm, part := rng.Intn(numSM), rng.Intn(parts)
+					id++
+					a, b := x.Inject(sm, req(id, uint16(sm), part), now), ref.Inject(sm, req(id, uint16(sm), part), now)
+					if a != b {
+						t.Fatalf("sm %d part %d tick %d: inject %v, reference %v", sm, part, now, a, b)
+					}
+					check(now)
+				}
+				for part := 0; part < parts; part++ {
+					if rng.Intn(4) == 0 {
+						continue // the partition's L2 pipe is full this tick
+					}
+					got, want := x.PopPart(part, now), refPopPart(ref, part, now)
+					if (got == nil) != (want == nil) || got != nil && got.ID != want.ID {
+						t.Fatalf("%d SMs, noInterleave %v, part %d tick %d: popped %v, reference %v",
+							numSM, noInterleave, part, now, got, want)
+					}
+					if x.rrReq[part] != ref.rrReq[part] || x.curSM[part] != ref.curSM[part] {
+						t.Fatalf("%d SMs, noInterleave %v, part %d tick %d: rrReq/curSM %d/%d, reference %d/%d",
+							numSM, noInterleave, part, now, x.rrReq[part], x.curSM[part], ref.rrReq[part], ref.curSM[part])
+					}
+					check(now)
+				}
+			}
+			if x.Injected == 0 || x.Rejected == 0 {
+				t.Fatalf("%d SMs: stream injected %d, rejected %d; want both", numSM, x.Injected, x.Rejected)
+			}
+		}
+	}
+}
+
+// BenchmarkXbarPopPartIdle times one tick of the six partition ports of
+// a 120-SM crossbar whose every FIFO holds a request still in flight:
+// the port wake bound, not the SMs' FIFO heads, decides each PopPart.
+func BenchmarkXbarPopPartIdle(b *testing.B) {
+	const sms, parts = 120, 6
+	x := New(sms, parts, 1<<40, 8)
+	for sm := 0; sm < sms; sm++ {
+		for part := 0; part < parts; part++ {
+			x.Inject(sm, req(uint64(sm*parts+part), uint16(sm), part), 0)
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for part := 0; part < parts; part++ {
+			if x.PopPart(part, int64(i)) != nil {
+				b.Fatal("an in-flight request was delivered")
+			}
+		}
 	}
 }
